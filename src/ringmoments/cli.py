@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exact_moments import (
-    BudgetExceededError,
     CrossCheckError,
     composition_census,
     theorem_bound,
@@ -228,8 +227,17 @@ def _cmd_mc_moment(args) -> int:
     return 0
 
 
+def _config_field(config: dict, key: str, kind: str):
+    """config[key], or a usage error naming the missing key."""
+    if key not in config:
+        raise ValueError(f"{kind} config needs the key {key!r}")
+    return config[key]
+
+
 def _cmd_spectrum_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     kind = config.get("experiment")
     seed = int(config.get("seed", 0))
     replications = int(config.get("replications", 16))
@@ -238,13 +246,15 @@ def _cmd_spectrum_experiment(args) -> int:
     writer = write_records_csv if args.format == "csv" else write_records_jsonl
     suffix = "csv" if args.format == "csv" else "jsonl"
     if kind == "radius-rate":
-        family_cfg = config["family"]
+        family_cfg = _config_field(config, "family", kind)
+        if not isinstance(family_cfg, dict):
+            raise ValueError("radius-rate family must be a JSON object")
         family = ProfileFamily(
-            kind=family_cfg["kind"],
+            kind=_config_field(family_cfg, "kind", "family"),
             lo=float(family_cfg.get("lo", 1.0)),
             hi=float(family_cfg.get("hi", 1.0)),
         )
-        n_grid = [int(n) for n in config["n_grid"]]
+        n_grid = [int(n) for n in _config_field(config, "n_grid", kind)]
         records, fit = radius_rate_experiment(
             family, n_grid, replications, seed, args.jobs
         )
@@ -265,9 +275,9 @@ def _cmd_spectrum_experiment(args) -> int:
         print(f"wrote {records_path}")
         print(f"wrote {fit_path}")
     elif kind == "tail":
-        profile = parse_profile(config["profile"])
+        profile = parse_profile(_config_field(config, "profile", kind))
         n = int(config.get("n", profile.n))
-        deltas = [float(d) for d in config["deltas"]]
+        deltas = [float(d) for d in _config_field(config, "deltas", kind)]
         records, points = tail_experiment(
             profile, n, deltas, replications, seed, args.jobs
         )
@@ -358,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrossCheckError, BudgetExceededError, EigensolverError, RuntimeError) as exc:
+    except (CrossCheckError, EigensolverError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -11,38 +11,53 @@ runs over index tuples in {1..n}^k and the inner average (``f_i`` for the uu
 statistic, ``g_i`` for the sq statistic) is a sum of Haar entry moments of
 the unitary factor alone.
 
-Every inner average is evaluated along two independent routes and the results
-are compared:
+Every inner average is a sum of Weingarten values, and which cycle types
+enter that sum, with what multiplicity, depends only on the equality pattern
+of the index tuple, never on n or on the profile.  ``route_censuses``
+compiles that integer census once per (statistic, pattern), along two
+independent routes:
 
-* route A sums entry moments over representatives of index reorderings that
-  leave the tuple fixed (one representative per stabilizer coset),
-* route B pushes the delta constraints through the Weingarten sum and lands
-  on a closed sum of Weingarten values over conjugation-and-transposition
-  dressed words.
+* route A counts the matching pairs of the entry moments of representatives
+  of index reorderings that leave the tuple fixed (one representative per
+  stabilizer coset),
+* route B pushes the delta constraints through the Weingarten sum and counts
+  the conjugation-and-transposition dressed words it lands on.
 
-A disagreement raises ``CrossCheckError``; it would mean the two derivations
-do not describe the same quantity, so no answer is returned in that case.
+The two censuses are compared as integer vectors, which checks the
+derivations at every n at once.  A disagreement raises ``CrossCheckError``;
+it would mean the two derivations do not describe the same quantity, so no
+answer is returned in that case.  An inner average at dimension n is then
+the census weighed by the degree-k Weingarten table at n.
 
-The inner averages depend on the index tuple only through its equality
-pattern, so the n^k outer sum is folded into a sum over set partitions of the
-k positions with exact injective-assignment weights.
+The n^k outer sum is folded into a sum over set partitions of the k
+positions.  The weight of a pattern, the sum over injective assignments of
+values to its blocks, is an augmented monomial symmetric function; it is
+obtained exactly from the power sums p_m = sum_i s_i^(2m) by Moebius
+inversion on the set-partition lattice of the blocks.  No step enumerates
+index tuples, so the cost of a moment does not grow with n beyond the power
+sums and the Weingarten table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
-from .haar_moments import MomentSpec, entry_moment
+from .haar_moments import MomentSpec, census_value, entry_census
 from .permutations import (
     IndexTuple,
     Permutation,
     all_permutations,
+    compose_images,
     coset_representatives,
+    cycle_type_census,
     enumerate_sk0,
+    invert_images,
     stabilizer,
 )
 from .profiles import SingularProfile
@@ -52,15 +67,12 @@ from .weingarten import wg_class_table
 # at word length k; both stay within the Weingarten table's degree ceiling.
 MAX_UU_ORDER = 6
 MAX_SQ_ORDER = 5
-ENUMERATION_BUDGET = 10**7
+
+Statistic = Literal["uu", "sq"]
 
 
 class CrossCheckError(RuntimeError):
     """The two evaluation routes disagreed; the computation is unsound."""
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
 
 
 def _as_index_tuple(indices, n: int) -> IndexTuple:
@@ -71,30 +83,124 @@ def _as_index_tuple(indices, n: int) -> IndexTuple:
     return IndexTuple(tuple(indices), n)
 
 
-def f_paths(indices, n: int) -> tuple[Fraction, Fraction]:
-    """Both evaluations of the uu inner average for one index tuple.
+def _pattern_stabilizer(statistic: Statistic, pattern: tuple[int, ...]) -> list[Permutation]:
+    """Index symmetries of the pattern: endpoint-fixing ones for uu, all of
+    S_k for sq."""
+    if statistic not in ("uu", "sq"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    universe = "sk0" if statistic == "uu" else "sk"
+    return stabilizer(IndexTuple(pattern, max(pattern)), universe)
 
-    Route A: for one representative phi per orbit of endpoint-fixing index
-    symmetries, the entry moment of
+
+def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
+    """Route A: the entry censuses of one word pair per stabilizer coset.
+
+    uu: for each representative phi of the endpoint-fixing reorderings, the
+    word
 
         u[i_1, i_2] ... u[i_{k-1}, i_k]
-        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k-1)}, i_{phi(k)}])
+        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k-1)}, i_{phi(k)}]);
 
-    summed over representatives.
+    sq: for each representative phi of all reorderings, the cyclic word
 
-    Route B: with c the full cycle 1 -> 2 -> ... -> k -> 1,
-
-        sum over l1, l2 in 1..k-1 with i[l1] == i[1] and i[l2 + 1] == i[k],
-        phi endpoint-fixing, alpha an endpoint-fixing index symmetry, of the
-        degree-(k-1) Weingarten value of
-        (c^-1 phi^-1 alpha^-1 c (l2 k-1) (1 l1) phi) restricted to {1..k-1};
-        the word always fixes the point k.
-
-    The l1/l2 constraints are forced by the delta analysis: the realignment
-    (1 l1) relating the conjugated row word to an index symmetry is itself an
-    index symmetry only when positions 1 and l1 carry equal indices, and
-    likewise (l2+1, k) on the column side before the shift by c.
+        u[i_1, i_2] u[i_2, i_3] ... u[i_k, i_1]
+        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k)}, i_{phi(1)}]).
     """
+    k = len(pattern)
+    stab = _pattern_stabilizer(statistic, pattern)
+    universe = list(enumerate_sk0(k) if statistic == "uu" else all_permutations(k))
+
+    def ends(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # row and column indices of u[w_1, w_2] u[w_2, w_3] ..., open for uu,
+        # closed cyclically for sq
+        if statistic == "uu":
+            return word[:-1], word[1:]
+        return word, word[1:] + word[:1]
+
+    census: Counter = Counter()
+    for phi in coset_representatives(universe, stab):
+        permuted = tuple(pattern[x - 1] for x in phi.images)
+        spec = MomentSpec(max(pattern), *ends(pattern), *ends(permuted))
+        census.update(entry_census(spec))
+    return census
+
+
+def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
+    """Route B: the cycle types of the dressed conjugation words.
+
+    With c the full cycle 1 -> 2 -> ... -> k -> 1 and alpha running over the
+    pattern's stabilizer:
+
+    uu: over l1, l2 in 1..k-1 with i[l1] == i[1] and i[l2 + 1] == i[k] and
+    phi endpoint-fixing, the word
+    c^-1 phi^-1 alpha^-1 c (l2 k-1) (1 l1) phi restricted to {1..k-1}; the
+    word always fixes the point k.  The l1/l2 constraints are forced by the
+    delta analysis: the realignment (1 l1) relating the conjugated row word
+    to an index symmetry is itself an index symmetry only when positions 1
+    and l1 carry equal indices, and likewise (l2+1, k) on the column side
+    before the shift by c.
+
+    sq: over phi in S_k, the word c^-1 phi^-1 alpha^-1 c phi.
+    """
+    k = len(pattern)
+    alpha_invs = [invert_images(a.images) for a in _pattern_stabilizer(statistic, pattern)]
+    c = Permutation.full_cycle(k).images
+    c_inv = invert_images(c)
+    if statistic == "sq":
+        phis = list(itertools.permutations(range(1, k + 1)))
+        dressings = [tuple(range(1, k + 1))]  # sq words carry no dressing
+    else:
+        phis = [(1,) + mid + (k,) for mid in itertools.permutations(range(2, k))]
+        dressings = [
+            (
+                Permutation.transposition(k, l2, k - 1)
+                * Permutation.transposition(k, 1, l1)
+            ).images
+            for l1 in range(1, k)
+            if pattern[l1 - 1] == pattern[0]
+            for l2 in range(1, k)
+            if pattern[l2] == pattern[k - 1]
+        ]
+    words: Counter = Counter()
+    for phi in phis:
+        head = compose_images(c_inv, invert_images(phi))
+        heads = [compose_images(head, alpha_inv) for alpha_inv in alpha_invs]
+        for dressing in dressings:
+            tail = compose_images(c, compose_images(dressing, phi))
+            words.update(compose_images(h, tail) for h in heads)
+    if statistic == "sq":
+        return cycle_type_census(words)
+    if any(word[k - 1] != k for word in words):
+        raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
+    return cycle_type_census(Counter({word[: k - 1]: m for word, m in words.items()}))
+
+
+@lru_cache(maxsize=None)
+def route_censuses(
+    statistic: Statistic, pattern: tuple[int, ...]
+) -> tuple[Counter, Counter]:
+    """The route-A and route-B Weingarten censuses of one equality pattern
+    (a canonical index tuple, see ``equality_patterns``), after checking
+    that they are equal as integer vectors.
+
+    Built on first use and memoized per (statistic, pattern); the pattern's
+    length is k.  The returned counters are shared between callers and must
+    not be mutated.
+    """
+    census_a = _route_a_census(statistic, pattern)
+    census_b = _route_b_census(statistic, pattern)
+    if census_a != census_b:
+        raise CrossCheckError(
+            f"{statistic} route censuses differ for pattern {pattern}: "
+            f"{dict(census_a)} vs {dict(census_b)}"
+        )
+    return census_a, census_b
+
+
+def f_paths(indices, n: int) -> tuple[Fraction, Fraction]:
+    """Both evaluations of the uu inner average for one index tuple: the
+    route-A and route-B censuses of its pattern (see ``route_censuses``)
+    weighed by the degree-(k-1) Weingarten table at n."""
     i = _as_index_tuple(indices, n)
     k = i.k
     if k < 2:
@@ -103,47 +209,9 @@ def f_paths(indices, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"order {k} above supported ceiling {MAX_UU_ORDER}")
     if n < k - 1:
         raise ValueError(f"needs n >= k - 1 = {k - 1}, got {n}")
-    idx = i.indices
-    stab = stabilizer(i, "sk0")
-
-    reps = coset_representatives(list(enumerate_sk0(k)), stab)
-    route_a = Fraction(0)
-    for phi in reps:
-        img = phi.images
-        route_a += entry_moment(
-            MomentSpec(
-                n,
-                rows=idx[: k - 1],
-                cols=idx[1:],
-                conj_rows=tuple(idx[img[l] - 1] for l in range(k - 1)),
-                conj_cols=tuple(idx[img[l] - 1] for l in range(1, k)),
-            )
-        )
-
+    census_a, census_b = route_censuses("uu", i.pattern())
     table = wg_class_table(k - 1, n)
-    c = Permutation.full_cycle(k)
-    c_inv = c.inverse()
-    route_b = Fraction(0)
-    for l1 in range(1, k):
-        if idx[l1 - 1] != idx[0]:
-            continue
-        t1 = Permutation.transposition(k, 1, l1)
-        for l2 in range(1, k):
-            if idx[l2] != idx[k - 1]:
-                continue
-            t2 = Permutation.transposition(k, l2, k - 1)
-            dressing = t2 * t1
-            for phi in enumerate_sk0(k):
-                tail = c * dressing * phi
-                head = c_inv * phi.inverse()
-                for alpha in stab:
-                    word = head * alpha.inverse() * tail
-                    if word(k) != k:
-                        raise CrossCheckError(
-                            f"route B word moves the endpoint for i={idx}"
-                        )
-                    route_b += table[word.restricted_to_prefix(k - 1).cycle_type()]
-    return route_a, route_b
+    return census_value(census_a, table), census_value(census_b, table)
 
 
 def f_i(indices, n: int) -> Fraction:
@@ -162,19 +230,9 @@ def f_i(indices, n: int) -> Fraction:
 
 
 def g_paths(indices, n: int) -> tuple[Fraction, Fraction]:
-    """Both evaluations of the sq inner average for one index tuple.
-
-    Route A: for one representative phi per orbit of unrestricted index
-    symmetries, the entry moment of the cyclic word
-
-        u[i_1, i_2] u[i_2, i_3] ... u[i_k, i_1]
-        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k)}, i_{phi(1)}])
-
-    summed over representatives.
-
-    Route B: sum over phi in S_k and alpha an index symmetry of the
-    degree-k Weingarten value of c^-1 phi^-1 alpha^-1 c phi.
-    """
+    """Both evaluations of the sq inner average for one index tuple: the
+    route-A and route-B censuses of its pattern (see ``route_censuses``)
+    weighed by the degree-k Weingarten table at n."""
     i = _as_index_tuple(indices, n)
     k = i.k
     if k < 1:
@@ -183,36 +241,9 @@ def g_paths(indices, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"order {k} above supported ceiling {MAX_SQ_ORDER}")
     if n < k:
         raise ValueError(f"needs n >= k = {k}, got {n}")
-    idx = i.indices
-    stab = stabilizer(i, "sk")
-
-    reps = coset_representatives(list(all_permutations(k)), stab)
-    cyc = idx[1:] + idx[:1]
-    route_a = Fraction(0)
-    for phi in reps:
-        img = phi.images
-        permuted = tuple(idx[img[l] - 1] for l in range(k))
-        route_a += entry_moment(
-            MomentSpec(
-                n,
-                rows=idx,
-                cols=cyc,
-                conj_rows=permuted,
-                conj_cols=permuted[1:] + permuted[:1],
-            )
-        )
-
+    census_a, census_b = route_censuses("sq", i.pattern())
     table = wg_class_table(k, n)
-    c = Permutation.full_cycle(k)
-    c_inv = c.inverse()
-    route_b = Fraction(0)
-    for phi in all_permutations(k):
-        head = c_inv * phi.inverse()
-        tail = c * phi
-        for alpha in stab:
-            word = head * alpha.inverse() * tail
-            route_b += table[word.cycle_type()]
-    return route_a, route_b
+    return census_value(census_a, table), census_value(census_b, table)
 
 
 def g_i(indices, n: int) -> Fraction:
@@ -251,43 +282,85 @@ def _require_exact(profile: SingularProfile) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _set_partition_terms(p: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(mu(0, pi), blocks of pi) for every set partition pi of {0, ..., p-1},
+    with mu(0, pi) = prod over blocks B of (-1)^(|B|-1) (|B|-1)! the Moebius
+    function of the set-partition lattice."""
+    def partitions(items: list[int]) -> Iterator[list[list[int]]]:
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[first]] + part
+            for j in range(len(part)):
+                yield part[:j] + [[first] + part[j]] + part[j + 1 :]
+
+    terms = []
+    for part in partitions(list(range(p))):
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        terms.append((mu, tuple(tuple(b) for b in part)))
+    return tuple(terms)
+
+
+def _power_sums(profile: SingularProfile, k: int) -> list[Fraction]:
+    """p[m] = sum_i s_i^(2m) for m = 0..k."""
+    squares = [v * v for v in profile.values]
+    sums = [Fraction(profile.n)]
+    powers = [Fraction(1)] * len(squares)
+    for _ in range(k):
+        powers = [x * sq for x, sq in zip(powers, squares)]
+        sums.append(sum(powers, Fraction(0)))
+    return sums
+
+
 def _ordered_injective_weight(
-    profile: SingularProfile, sizes: Sequence[int], cache: dict
+    power_sums: Sequence[Fraction], sizes: Sequence[int]
 ) -> Fraction:
     """sum over ordered tuples of distinct value positions (v_1, ..., v_p) of
-    prod_j s_{v_j}^(2 * sizes_j).  Depends on the multiset of sizes only."""
-    key = tuple(sorted(sizes))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    prod_j s_{v_j}^(2 * sizes_j), exactly.
+
+    Moebius inversion on the lattice of set partitions of the p slots: the
+    unrestricted sum over a partition pi (slots in one block share a
+    position) is prod over blocks B of p[sum_{j in B} sizes_j], and the
+    injective sum is the sum over pi of mu(0, pi) times that product.  At
+    most Bell(p) terms; zero whenever p exceeds the number of values.
+    """
     total = Fraction(0)
-    values = profile.values
-    for combo in itertools.permutations(range(profile.n), len(sizes)):
-        term = Fraction(1)
-        for pos, size in zip(combo, key):
-            term *= values[pos] ** (2 * size)
+    for mu, blocks in _set_partition_terms(len(sizes)):
+        term = Fraction(mu)
+        for block in blocks:
+            term *= power_sums[sum(sizes[j] for j in block)]
         total += term
-    cache[key] = total
     return total
 
 
-def _pattern_sum(
-    k: int, profile: SingularProfile, inner
-) -> Fraction:
-    """sum_i prod_l s_{i_l}^2 * inner(i) over all i in {1..n}^k, folded over
-    equality patterns."""
-    n = profile.n
-    weight_cache: dict = {}
-    total = Fraction(0)
+def _weighted_patterns(
+    k: int, profile: SingularProfile
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """(pattern, block sizes, injective weight) for every equality pattern of
+    k positions with at most n blocks."""
+    power_sums = _power_sums(profile, k)
+    weights: dict[tuple[int, ...], Fraction] = {}
     for pattern in equality_patterns(k):
         blocks = max(pattern)
-        if blocks > n:
+        if blocks > profile.n:
             continue
         sizes = tuple(pattern.count(b) for b in range(1, blocks + 1))
-        weight = _ordered_injective_weight(profile, sizes, weight_cache)
-        if weight == 0:
-            continue
-        total += inner(pattern) * weight
+        key = tuple(sorted(sizes))
+        if key not in weights:
+            weights[key] = _ordered_injective_weight(power_sums, key)
+        yield pattern, sizes, weights[key]
+
+
+def _pattern_sum(k: int, profile: SingularProfile, inner) -> Fraction:
+    """sum_i prod_l s_{i_l}^2 * inner(i) over all i in {1..n}^k, folded over
+    equality patterns."""
+    total = Fraction(0)
+    for pattern, _sizes, weight in _weighted_patterns(k, profile):
+        if weight != 0:
+            total += inner(pattern) * weight
     return total
 
 
@@ -295,8 +368,7 @@ def trace_moment_uu(k: int, profile: SingularProfile) -> Fraction:
     """E trace(A^k (A^k)^*), exactly.
 
     k = 1 is deterministic: trace(A A^*) = sum s_i^2.  n = 1 collapses to
-    s^(2k).  Otherwise the pattern-folded expansion over ``f_i`` is used;
-    the raw enumeration size n^k is capped by ENUMERATION_BUDGET.
+    s^(2k).  Otherwise the pattern-folded expansion over ``f_i`` is used.
     """
     _require_exact(profile)
     if k < 1:
@@ -306,8 +378,6 @@ def trace_moment_uu(k: int, profile: SingularProfile) -> Fraction:
         return Fraction(sum(v * v for v in profile.values))
     if n == 1:
         return profile.values[0] ** (2 * k)
-    if n**k > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"n^k = {n**k} exceeds {ENUMERATION_BUDGET}")
     return _pattern_sum(k, profile, lambda pattern: f_i(pattern, n))
 
 
@@ -323,8 +393,6 @@ def trace_moment_sq(k: int, profile: SingularProfile) -> Fraction:
     n = profile.n
     if n == 1:
         return profile.values[0] ** (2 * k)
-    if n**k > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"n^k = {n**k} exceeds {ENUMERATION_BUDGET}")
     return _pattern_sum(k, profile, lambda pattern: g_i(pattern, n))
 
 
@@ -372,7 +440,7 @@ def theorem_bound(
             exact = trace_moment_uu(k, profile)
         else:
             exact = trace_moment_sq(k, profile)
-    except (ValueError, BudgetExceededError):
+    except ValueError:
         exact = None
     ratio = exact / core if exact is not None and core != 0 else None
     applicable = k**6 < (2 - eps) * n
@@ -462,16 +530,10 @@ def composition_census(k: int, profile: SingularProfile) -> CensusReport:
     b2 = profile.b2
     m2 = profile.M * profile.M
 
-    weight_cache: dict = {}
     l0 = Fraction(0)
     l1 = Fraction(0)
-    for pattern in equality_patterns(k):
-        blocks = max(pattern)
-        if blocks > n:
-            continue
-        sizes = tuple(pattern.count(bl) for bl in range(1, blocks + 1))
-        weight = _ordered_injective_weight(profile, sizes, weight_cache)
-        stab_size = len(stabilizer(IndexTuple(pattern, blocks), "sk0"))
+    for pattern, sizes, weight in _weighted_patterns(k, profile):
+        stab_size = len(stabilizer(IndexTuple(pattern, len(sizes)), "sk0"))
         l0 += weight * stab_size
         l1 += weight * math.prod(math.factorial(s) for s in sizes)
 

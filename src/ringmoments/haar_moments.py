@@ -14,7 +14,10 @@ words (row or column multisets that disagree) average to zero.
 
 The delta constraints are resolved by value classes: a matching permutation
 decomposes into independent bijections between the positions holding each
-value, so only genuine matchings are enumerated.
+value, so only genuine matchings are enumerated.  The matching pairs are
+counted by the cycle type of sigma^-1 * tau (``entry_census``); that census
+depends on the index equalities alone, and the moment is the census weighed
+by the table at n.
 """
 
 from __future__ import annotations
@@ -23,16 +26,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .montecarlo import MomentEstimate, _finish_estimate, haar_batch, rng_stream
-from .permutations import (
-    compose_images,
-    cycle_type_of_images,
-    invert_images,
-)
+from .permutations import compose_images, cycle_type_census, invert_images
 from .weingarten import MAX_DEGREE, wg_character_table, wg_class_table
 
 
@@ -85,23 +84,43 @@ def _matchings(src: Sequence[int], dst: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def entry_moment(spec: MomentSpec) -> Fraction:
-    """Exact Haar average of the word described by ``spec``.
+def entry_census(spec: MomentSpec) -> Counter:
+    """The Weingarten census of ``spec``: for each cycle type, how many
+    matching pairs (sigma, tau) have sigma^-1 * tau of that type.
 
-    The value is always a real rational.  Requires k <= 8 and n >= k (the
-    regime where the Weingarten table is defined); a mismatch in the row or
-    column multisets returns 0 without touching the table.
+    The census depends on the index equalities alone, never on the dimension
+    ``spec.n``; it is empty when the row or column multisets disagree.
+    """
+    sigmas = _matchings(spec.rows, spec.conj_rows)
+    if not sigmas:
+        return Counter()
+    taus = _matchings(spec.cols, spec.conj_cols)
+    products = Counter(
+        compose_images(inv, tau) for inv in map(invert_images, sigmas) for tau in taus
+    )
+    return cycle_type_census(products)
+
+
+def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
+    """sum over the census of multiplicity * Weingarten value of the type."""
+    return sum((count * table[lam] for lam, count in census.items()), Fraction(0))
+
+
+def entry_moment(spec: MomentSpec) -> Fraction:
+    """Exact Haar average of the word described by ``spec``: its
+    ``entry_census`` weighed by the Weingarten table of degree k at dimension
+    n.
+
+    The value is always a real rational.  Requires k <= 8; a mismatch in the
+    row or column multisets returns 0 without touching the table.
 
     >>> entry_moment(MomentSpec(5, (1,), (1,), (1,), (1,)))
     Fraction(1, 5)
     """
     if spec.k > MAX_DEGREE:
         raise ValueError(f"word length {spec.k} above supported degree {MAX_DEGREE}")
-    sigmas = _matchings(spec.rows, spec.conj_rows)
-    if not sigmas:
-        return Fraction(0)
-    taus = _matchings(spec.cols, spec.conj_cols)
-    if not taus:
+    census = entry_census(spec)
+    if not census:
         return Fraction(0)
     if spec.n >= spec.k:
         table = wg_class_table(spec.k, spec.n)
@@ -109,12 +128,7 @@ def entry_moment(spec: MomentSpec) -> Fraction:
         # low-dimension regime: the orthogonality system is singular and
         # the character expansion supplies the moment-correct values
         table = wg_character_table(spec.k, spec.n)
-    total = Fraction(0)
-    for sigma in sigmas:
-        inv = invert_images(sigma)
-        for tau in taus:
-            total += table[cycle_type_of_images(compose_images(inv, tau))]
-    return total
+    return census_value(census, table)
 
 
 def mc_entry_moment(spec: MomentSpec, samples: int, seed: int) -> MomentEstimate:

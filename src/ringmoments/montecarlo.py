@@ -111,8 +111,16 @@ def _finish_estimate(
     vals: np.ndarray, statistic: str, k: int, n: int
 ) -> MomentEstimate:
     samples = len(vals)
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MomentEstimate(float(vals.mean()), se, samples, statistic, k, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow surfaces as a non-finite result, checked below
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise OverflowGuardError(
+            f"{statistic} estimate left the floating-point range "
+            f"(mean={mean!r}, std error={se!r})"
+        )
+    return MomentEstimate(mean, se, samples, statistic, k, n)
 
 
 def estimate_trace_moment(
@@ -141,11 +149,12 @@ def estimate_trace_moment(
         b = min(_BATCH, samples - done)
         a = sample_A_batch(profile, b, rng)
         p = _power_batch(a, k)
-        if mode == "uu":
-            vals[done : done + b] = np.sum(np.abs(p) ** 2, axis=(1, 2))
-        else:
-            tr = np.trace(p, axis1=1, axis2=2)
-            vals[done : done + b] = np.abs(tr) ** 2
+        with np.errstate(over="ignore"):  # _finish_estimate rejects inf
+            if mode == "uu":
+                vals[done : done + b] = np.sum(np.abs(p) ** 2, axis=(1, 2))
+            else:
+                tr = np.trace(p, axis1=1, axis2=2)
+                vals[done : done + b] = np.abs(tr) ** 2
         done += b
     return _finish_estimate(vals, f"trace_{mode}", k, profile.n)
 
@@ -309,6 +318,8 @@ def radius_rate_experiment(
     otherwise a profile whose radius deviation is exactly 0 would feed pure
     rounding noise into the regression instead of flagging degeneracy.
     """
+    if replications < 1:
+        raise ValueError("need at least one replication")
     records = spectrum_records(family, n_grid, replications, seed, jobs)
     eps = float(np.finfo(float).eps)
     points = []
@@ -341,6 +352,8 @@ def tail_experiment(
     automatically nonincreasing in delta."""
     if n != profile.n:
         raise ValueError(f"profile has n={profile.n}, experiment asked for {n}")
+    if replications < 1:
+        raise ValueError("need at least one replication")
     tasks = [
         (_FixedProfileFamily(profile.values), n, seed, rep)
         for rep in range(replications)

@@ -14,9 +14,10 @@ the rightmost factor is applied first.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -63,6 +64,15 @@ def cycle_type_of_images(p: Sequence[int]) -> tuple[int, ...]:
         lengths.append(size)
     lengths.sort(reverse=True)
     return tuple(lengths)
+
+
+def cycle_type_census(images: Mapping[tuple[int, ...], int]) -> Counter:
+    """Fold a multiset of permutations (image tuple -> multiplicity) into
+    cycle type -> multiplicity.  No validation."""
+    census: Counter = Counter()
+    for p, count in images.items():
+        census[cycle_type_of_images(p)] += count
+    return census
 
 
 @dataclass(frozen=True)

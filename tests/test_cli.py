@@ -144,6 +144,14 @@ class TestExactMomentCommand:
         assert code == 2
         assert "usage error" in err
 
+    def test_large_dimension_needs_no_enumeration(self, capsys):
+        # 300^3 index tuples, but only 5 equality patterns
+        code, out, _ = run(
+            capsys, "exact-moment", "--k", "3", "--profile", "uniform:1:2:300"
+        )
+        assert code == 0
+        assert "n = 300" in out
+
     def test_float_profile_rejected(self, capsys):
         code, _, err = run(
             capsys, "exact-moment", "--k", "2", "--profile", "uniform:0.5:4:6"
@@ -228,6 +236,14 @@ class TestMcMomentCommand:
         assert json.loads(lines[0])["stat"] == "trace_uu_mean"
 
 
+    def test_non_finite_estimate_exits_one(self, capsys):
+        code, out, err = run(capsys, "mc-moment", "--k", "40", "--profile", "1000,2000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "std error=inf" in err
+        assert err.count("\n") == 1
+
+
 class TestSpectrumExperimentCommand:
     def test_radius_rate_outputs(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -279,6 +295,48 @@ class TestSpectrumExperimentCommand:
         )
         assert code == 2
         assert "usage error" in err
+
+    def _usage_error(self, capsys, tmp_path, payload):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(tmp_path), "--jobs", "1",
+        )
+        assert code == 2
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_non_object_config(self, capsys, tmp_path):
+        err = self._usage_error(capsys, tmp_path, [1, 2])
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "payload,missing",
+        [
+            ({"experiment": "radius-rate", "n_grid": [4]}, "family"),
+            ({"experiment": "radius-rate", "family": {"kind": "grid"}}, "n_grid"),
+            ({"experiment": "radius-rate", "family": {}, "n_grid": [4]}, "kind"),
+            ({"experiment": "tail", "deltas": [0.1]}, "profile"),
+            ({"experiment": "tail", "profile": "1,2"}, "deltas"),
+        ],
+    )
+    def test_missing_key(self, capsys, tmp_path, payload, missing):
+        err = self._usage_error(capsys, tmp_path, payload)
+        assert repr(missing) in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "tail", "profile": "1,2,3", "deltas": [0.1]},
+            {"experiment": "radius-rate", "family": {"kind": "grid"}, "n_grid": [4]},
+        ],
+    )
+    def test_zero_replications(self, capsys, tmp_path, payload):
+        err = self._usage_error(capsys, tmp_path, dict(payload, replications=0))
+        assert "replication" in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -3,7 +3,9 @@
 Oracle used here: the unreduced double index sum.  For the uu moment it sums
 entry moments of the open word pairs over all i, j in {1..n}^k with matching
 endpoints; for the sq moment over all cyclic pairs.  It shares nothing with
-the pattern-deduplicated production path except entry_moment itself.
+the pattern-deduplicated production path except entry_moment itself.  The
+pattern weights are checked against the enumeration of injective
+assignments they replace.
 """
 
 import itertools
@@ -12,8 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringmoments import exact_moments
 from ringmoments.exact_moments import (
-    BudgetExceededError,
     CrossCheckError,
     composition_census,
     equality_patterns,
@@ -21,13 +23,14 @@ from ringmoments.exact_moments import (
     f_paths,
     g_i,
     g_paths,
+    route_censuses,
     theorem_bound,
     trace_moment_sq,
     trace_moment_uu,
     verify_counting_lemma,
 )
 from ringmoments.haar_moments import MomentSpec, entry_moment
-from ringmoments.permutations import Permutation, enumerate_sk0
+from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0
 from ringmoments.profiles import SingularProfile
 
 
@@ -115,6 +118,111 @@ class TestInnerAverages:
     def test_g_at_order_one(self):
         for n in (1, 2, 4):
             assert g_i((1,), n) == Fraction(1, n)
+
+
+class TestRouteCensuses:
+    """Route A and route B must produce the same Weingarten census, cycle
+    type by cycle type, for every pattern in the supported range."""
+
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 7)] + [("sq", k) for k in range(1, 6)],
+    )
+    def test_routes_agree_as_integer_vectors(self, statistic, k):
+        for pattern in equality_patterns(k):
+            census_a = exact_moments._route_a_census(statistic, pattern)
+            census_b = exact_moments._route_b_census(statistic, pattern)
+            assert census_a == census_b, (statistic, pattern)
+            assert all(count > 0 for count in census_a.values())
+            degree = k - 1 if statistic == "uu" else k
+            assert all(sum(lam) == degree for lam in census_a)
+
+    def test_sq_census_mass_at_the_distinct_pattern(self):
+        # sq at the all-distinct pattern: a trivial stabilizer, so route B
+        # has one word per phi in S_k
+        import math
+
+        for k in (1, 2, 3, 4):
+            census_a, census_b = route_censuses("sq", tuple(range(1, k + 1)))
+            assert sum(census_b.values()) == math.factorial(k)
+            assert census_a == census_b
+
+    def test_mismatch_raises_naming_the_pattern(self, monkeypatch):
+        pattern = (1, 2, 1, 2)
+        real = exact_moments._route_b_census
+
+        def skewed(statistic, pat):
+            census = real(statistic, pat)
+            census[(1,) * (len(pat) - 1)] += 1
+            return census
+
+        route_censuses.cache_clear()
+        monkeypatch.setattr(exact_moments, "_route_b_census", skewed)
+        try:
+            with pytest.raises(CrossCheckError, match=r"\(1, 2, 1, 2\)"):
+                route_censuses("uu", pattern)
+            with pytest.raises(CrossCheckError):
+                f_i((5, 3, 5, 3), 6)
+        finally:
+            route_censuses.cache_clear()
+
+    def test_unknown_statistic(self):
+        with pytest.raises(ValueError):
+            route_censuses("xx", (1, 2))
+
+    def test_paths_are_census_dot_table(self):
+        from ringmoments.haar_moments import census_value
+        from ringmoments.weingarten import wg_class_table
+
+        for indices, n in (((2, 7, 2, 4), 8), ((3, 3, 1), 3)):
+            census_a, _ = route_censuses("uu", IndexTuple(indices, n).pattern())
+            expect = census_value(census_a, wg_class_table(len(indices) - 1, n))
+            assert f_paths(indices, n) == (expect, expect)
+
+    def test_relabelled_indices_share_the_pattern_value(self):
+        assert f_paths((4, 9, 4), 9) == f_paths((1, 2, 1), 9)
+        assert g_paths((6, 6, 2), 7) == g_paths((1, 1, 2), 7)
+
+
+def brute_injective_weight(profile: SingularProfile, sizes) -> Fraction:
+    """sum over ordered tuples of distinct positions (v_1, ..., v_p) of
+    prod_j s_{v_j}^(2 sizes_j), by enumerating all n!/(n-p)! tuples."""
+    total = Fraction(0)
+    for combo in itertools.permutations(range(profile.n), len(sizes)):
+        term = Fraction(1)
+        for pos, size in zip(combo, sizes):
+            term *= profile.values[pos] ** (2 * size)
+        total += term
+    return total
+
+
+class TestInjectiveWeights:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_moebius_matches_enumeration(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        profile = SingularProfile.from_values(
+            [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
+        )
+        power_sums = exact_moments._power_sums(profile, 6)
+        for k in range(1, 7):
+            for pattern in equality_patterns(k):
+                sizes = tuple(pattern.count(b) for b in range(1, max(pattern) + 1))
+                expect = brute_injective_weight(profile, sizes)
+                got = exact_moments._ordered_injective_weight(power_sums, sizes)
+                assert got == expect, (seed, sizes)
+
+    def test_more_blocks_than_values_weigh_zero(self):
+        profile = SingularProfile.from_values([Fraction(1, 2), Fraction(3)])
+        power_sums = exact_moments._power_sums(profile, 4)
+        assert exact_moments._ordered_injective_weight(power_sums, (1, 2, 1)) == 0
+
+    def test_bell_number_of_terms(self):
+        bell = [1, 1, 2, 5, 15, 52, 203]
+        for p, count in enumerate(bell):
+            assert len(exact_moments._set_partition_terms(p)) == count
 
 
 class TestTraceMomentsAgainstBrute:
@@ -222,10 +330,19 @@ class TestStructuralProperties:
         assert trace_moment_uu(2, profile) >= 0
         assert trace_moment_sq(2, profile) >= 0
 
-    def test_budget_guard(self):
-        profile = SingularProfile.constant(Fraction(1), 60)
-        with pytest.raises(BudgetExceededError):
-            trace_moment_uu(5, profile)  # 60^5 tuples is over the ceiling
+    # A = c W with W = U V Haar: tr(A^k (A^k)^*) = n c^(2k) surely, and
+    # E |tr W^k|^2 = min(k, n); n = 60 is far beyond any n^k enumeration
+    def test_constant_profile_uu_oracle(self):
+        assert trace_moment_uu(5, SingularProfile.constant(Fraction(1), 60)) == 60
+        c = Fraction(3, 2)
+        for k in (2, 3, 4):
+            assert trace_moment_uu(k, SingularProfile.constant(c, 7)) == 7 * c ** (2 * k)
+
+    def test_constant_profile_sq_oracle(self):
+        assert trace_moment_sq(5, SingularProfile.constant(Fraction(1), 60)) == 5
+        c = Fraction(2, 3)
+        for k in (1, 2, 3, 4, 5):
+            assert trace_moment_sq(k, SingularProfile.constant(c, 6)) == min(k, 6) * c ** (2 * k)
 
     def test_float_profile_rejected_for_exact_path(self):
         profile = SingularProfile.from_values([1.0, 2.0])

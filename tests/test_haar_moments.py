@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringmoments.haar_moments import MomentSpec, entry_moment, mc_entry_moment
-from ringmoments.weingarten import MAX_DEGREE
+from ringmoments.haar_moments import (
+    MomentSpec,
+    census_value,
+    entry_census,
+    entry_moment,
+    mc_entry_moment,
+)
+from ringmoments.weingarten import MAX_DEGREE, wg_character_table, wg_class_table
 
 
 def moment(n, rows, cols, conj_rows, conj_cols):
@@ -83,6 +89,29 @@ class TestStructuralZeros:
         deep = tuple([1] * (MAX_DEGREE + 1))
         with pytest.raises(ValueError):
             entry_moment(MomentSpec(1, deep, deep, deep, deep))
+
+
+class TestEntryCensus:
+    def test_same_entry_fourth_moment(self):
+        # two matchings on each side: sigma^-1 tau is the identity twice and
+        # the swap twice
+        ones = (1, 1)
+        census = entry_census(MomentSpec(3, ones, ones, ones, ones))
+        assert census == {(1, 1): 2, (2,): 2}
+
+    def test_mismatch_is_empty(self):
+        assert not entry_census(MomentSpec(3, (1, 1), (1, 2), (1, 2), (1, 2)))
+
+    def test_independent_of_dimension_and_labels(self):
+        spec = MomentSpec(4, (1, 2, 1), (2, 3, 3), (2, 1, 1), (3, 2, 3))
+        relabelled = MomentSpec(9, (7, 4, 7), (4, 9, 9), (4, 7, 7), (9, 4, 9))
+        assert entry_census(spec) == entry_census(relabelled)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_moment_is_census_dot_table(self, n):
+        spec = MomentSpec(n, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
+        table = wg_class_table(3, n) if n >= 3 else wg_character_table(3, n)
+        assert entry_moment(spec) == census_value(entry_census(spec), table)
 
 
 class TestUnitarityIdentities:

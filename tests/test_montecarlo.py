@@ -10,6 +10,7 @@ from ringmoments.exact_moments import trace_moment_sq, trace_moment_uu
 from ringmoments.montecarlo import (
     CSV_COLUMNS,
     ExperimentRecord,
+    OverflowGuardError,
     ProfileFamily,
     RateFit,
     estimate_trace_moment,
@@ -130,6 +131,12 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_trace_moment(1, profile, samples=10, seed=0, mode="bad")
 
+    def test_non_finite_estimate_fails_closed(self):
+        # A^40 stays finite, but the spread of |.|^2 overflows
+        profile = SingularProfile.from_values([1000.0, 2000.0])
+        with pytest.raises(OverflowGuardError, match="std error=inf"):
+            estimate_trace_moment(40, profile, samples=100, seed=0)
+
 
 class TestProfileFamilies:
     def test_grid_and_constant_ignore_rng(self):
@@ -207,6 +214,10 @@ class TestRateExperiment:
         assert fit.degenerate
         assert fit.slope == 0.0
 
+    def test_replication_validation(self):
+        with pytest.raises(ValueError):
+            radius_rate_experiment(ProfileFamily("constant", 1.0), [4], 0, seed=0)
+
 
 class TestTailExperiment:
     def test_monotone_and_vanishing_tails(self):
@@ -225,6 +236,11 @@ class TestTailExperiment:
         profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
         with pytest.raises(ValueError):
             tail_experiment(profile, 16, [0.1], replications=2, seed=0)
+
+    def test_replication_validation(self):
+        profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
+        with pytest.raises(ValueError):
+            tail_experiment(profile, 8, [0.1], replications=0, seed=0)
 
 
 class TestRecordIO:

@@ -19,6 +19,7 @@ from ringmoments.weingarten import (
     integer_partitions,
     wg_alt_bounds,
     wg_bound,
+    wg_character_table,
     wg_class_table,
     wg_exact,
     wg_series,
@@ -102,6 +103,19 @@ class TestExactTable:
         for lam, value in table.items():
             distance = 6 - len(lam)
             assert (value > 0) == (distance % 2 == 0)
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_equals_class_table_from_the_degree_up(self, k):
+        for n in range(k, k + 6):
+            assert wg_character_table(k, n) == wg_class_table(k, n), (k, n)
+
+    def test_defined_below_the_degree(self):
+        # at n = 1 < k = 2 the class system is singular; only the one-row
+        # shape (2) survives, with weight 1 / (hook 2 * content 1 * 2), and
+        # the four matching pairs of |u_11|^4 sum to |u|^4 = 1
+        assert wg_character_table(2, 1) == {(2,): Fraction(1, 4), (1, 1): Fraction(1, 4)}
 
 
 class TestPartitions:
