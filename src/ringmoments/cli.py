@@ -30,7 +30,7 @@ from .exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from .haar_moments import MomentSpec, entry_moment, mc_entry_moment
+from .haar_moments import MomentSpec, entry_moment, mc_entry_moment, wg_table
 from .montecarlo import (
     EigensolverError,
     ExperimentRecord,
@@ -43,7 +43,7 @@ from .montecarlo import (
 )
 from .permutations import Permutation
 from .profiles import SingularProfile
-from .weingarten import wg_alt_bounds, wg_bound, wg_exact, wg_series
+from .weingarten import wg_alt_bounds, wg_bound, wg_series
 
 OUTPUT_DIR_ENV = "RINGMOMENTS_OUTPUT_DIR"
 
@@ -74,7 +74,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_wg(args) -> int:
     pi = Permutation.from_cycle_string(args.pi, args.k)
-    exact = wg_exact(args.k, args.n, pi)
+    exact = wg_table(args.k, args.n)[pi.cycle_type()]
     series = wg_series(args.k, args.n, pi, args.r_max)
     print(f"pi = {pi}  cycle type = {pi.cycle_type()}")
     print(f"exact = {exact}")
@@ -114,20 +114,24 @@ def _cmd_entry_moment(args) -> int:
     return 0
 
 
+def _float_text(value: Fraction) -> str:
+    try:
+        return repr(float(value))
+    except OverflowError:
+        return "beyond the float range"
+
+
 def _cmd_exact_moment(args) -> int:
     profile = parse_profile(args.profile)
     report = theorem_bound(args.k, profile, args.mode, Fraction(args.epsilon))
-    if report.exact_moment is None:
-        if args.mode == "uu":
-            trace_moment_uu(args.k, profile)  # surface the real error
-        else:
-            trace_moment_sq(args.k, profile)
-        raise RuntimeError("moment unavailable")
     print(f"mode = {args.mode}  k = {args.k}  n = {profile.n}")
     print(f"exact moment = {report.exact_moment}")
-    print(f"exact moment (float) = {float(report.exact_moment)!r}")
+    print(f"exact moment (float) = {_float_text(report.exact_moment)}")
     print(f"bound core = {report.bound_core}")
-    print(f"ratio = {report.ratio}  (float {float(report.ratio)!r})")
+    if report.ratio is None:
+        print("ratio = undefined (bound core is 0)")
+    else:
+        print(f"ratio = {report.ratio}  (float {_float_text(report.ratio)})")
     print(f"small-order condition k^6 < (2 - eps) n: {report.applicable}")
     if args.census:
         census = composition_census(args.k, profile)
@@ -234,13 +238,34 @@ def _config_field(config: dict, key: str, kind: str):
     return config[key]
 
 
+def _config_int(value, key: str) -> int:
+    """A JSON integer, or a usage error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_number(value, key: str) -> float:
+    """A JSON number, or a usage error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _config_list(value, key: str, item) -> list:
+    """A JSON list checked entry by entry with ``item``."""
+    if not isinstance(value, list):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return [item(entry, key) for entry in value]
+
+
 def _cmd_spectrum_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     kind = config.get("experiment")
-    seed = int(config.get("seed", 0))
-    replications = int(config.get("replications", 16))
+    seed = _config_int(config.get("seed", 0), "seed")
+    replications = _config_int(config.get("replications", 16), "replications")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     writer = write_records_csv if args.format == "csv" else write_records_jsonl
@@ -251,10 +276,10 @@ def _cmd_spectrum_experiment(args) -> int:
             raise ValueError("radius-rate family must be a JSON object")
         family = ProfileFamily(
             kind=_config_field(family_cfg, "kind", "family"),
-            lo=float(family_cfg.get("lo", 1.0)),
-            hi=float(family_cfg.get("hi", 1.0)),
+            lo=_config_number(family_cfg.get("lo", 1.0), "lo"),
+            hi=_config_number(family_cfg.get("hi", 1.0), "hi"),
         )
-        n_grid = [int(n) for n in _config_field(config, "n_grid", kind)]
+        n_grid = _config_list(_config_field(config, "n_grid", kind), "n_grid", _config_int)
         records, fit = radius_rate_experiment(
             family, n_grid, replications, seed, args.jobs
         )
@@ -275,9 +300,12 @@ def _cmd_spectrum_experiment(args) -> int:
         print(f"wrote {records_path}")
         print(f"wrote {fit_path}")
     elif kind == "tail":
-        profile = parse_profile(_config_field(config, "profile", kind))
-        n = int(config.get("n", profile.n))
-        deltas = [float(d) for d in _config_field(config, "deltas", kind)]
+        profile_text = _config_field(config, "profile", kind)
+        if not isinstance(profile_text, str):
+            raise ValueError(f"config key 'profile' must be a string, got {profile_text!r}")
+        profile = parse_profile(profile_text)
+        n = _config_int(config.get("n", profile.n), "n")
+        deltas = _config_list(_config_field(config, "deltas", kind), "deltas", _config_number)
         records, points = tail_experiment(
             profile, n, deltas, replications, seed, args.jobs
         )
@@ -325,8 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_entry_moment)
 
-    p = sub.add_parser("exact-moment", help="exact trace moment and envelope")
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser(
+        "exact-moment", help="exact trace moment and envelope, any order k >= 1"
+    )
+    p.add_argument(
+        "--k", type=int, required=True,
+        help="moment order, any k >= 1 at any dimension; certified against "
+        "the Weingarten census for uu k <= 6 and sq k <= 5",
+    )
     p.add_argument("--profile", required=True)
     p.add_argument("--mode", choices=("uu", "sq"), default="uu")
     p.add_argument("--epsilon", default="1/2")

@@ -1,15 +1,62 @@
 """Exact expected trace moments of A = U T V with independent Haar factors
 and T = diag(s_1, ..., s_n).
 
-Two statistics are computed, both exactly over rationals:
+Two statistics are computed, both exactly over rationals, at any order
+k >= 1 and any dimension n:
 
 * trace_moment_uu:  E trace(A^k (A^k)^*)
 * trace_moment_sq:  E |trace(A^k)|^2
 
-Each expands as  sum_i  s_{i_1}^2 ... s_{i_k}^2 * (inner average), where i
-runs over index tuples in {1..n}^k and the inner average (``f_i`` for the uu
-statistic, ``g_i`` for the sq statistic) is a sum of Haar entry moments of
-the unitary factor alone.
+Hook sums
+---------
+Write x_i = s_i^2.  For r = 0 .. min(k, n) - 1 let h_r = (k-r, 1^r) be the
+r-th hook, H_r = k (k-r-1)! r! its hook-length product,
+
+    C_r(n) = prod_{j=0}^{k-r-1} (n + j) * prod_{i=1}^{r} (n - i)
+
+its content product, and s_{h_r}(x) its Schur polynomial, given by the hook
+case of the Jacobi-Trudi identity (Macdonald, Symmetric Functions, I.3)
+
+    s_{h_r} = sum_{j=0}^{r} (-1)^j h_{k-r+j}(x) e_{r-j}(x).
+
+Hooks with more than n rows are left out: their Schur polynomials vanish in
+n variables.  Then
+
+    E |trace(A^k)|^2        = sum_r H_r s_{h_r}(x) / C_r(n),
+    E trace(A^k (A^k)^*)    = sum_r (H_r / k) (n + k - 1 - 2r) s_{h_r}(x) / C_r(n).
+
+Derivation of sq.  trace(A^k) = trace((T W)^k) with W = V U, which is Haar.
+The power sum p_k = sum_lam chi_lam(c_k) s_lam expands the trace of a k-th
+power in Schur characters, and by Murnaghan-Nakayama chi_lam of a k-cycle
+is (-1)^r on the hook h_r and 0 off the hooks, so
+trace((T W)^k) = sum_r (-1)^r trace rho_{h_r}(T W), with rho_lam the
+polynomial representation of GL_n of highest weight lam (0 when lam has more
+than n rows).  Schur orthogonality for the Haar measure,
+E rho_lam(W)_{ab} conj(rho_mu(W)_{cd}) = [lam = mu][a = c][b = d] / d_lam(n),
+removes the cross terms and leaves
+E |trace rho_lam(T) rho_lam(W)|^2 = trace rho_lam(T T^*) / d_lam(n)
+= s_lam(x) / d_lam(n).  The hook-content formula d_lam(n) = C_lam(n) / H_lam
+gives the sq sum.  The same result follows from the character expansion of
+the Weingarten function (Collins-Sniady 2006) summed over conjugacy classes.
+
+The uu factor.  (n + k - 1 - 2r) / k was fitted from Schur coefficients
+computed symbolically in n from the censuses below, at k <= 4, and is not
+derived here.  Inside the census orders (2 <= k <= MAX_UU_ORDER, n >= k - 1)
+it is certified per (k, n) before any answer is returned; beyond them the uu
+formula is a verified conjecture: it meets the constant-profile oracle
+n c^(2k) at every k and n, and a Monte-Carlo check at k = 8.
+
+Evaluation is in integers: the x_i are put over their common denominator D,
+e_j and h_j of the numerators come from O(n k) integer recursions, the
+coefficients are cached per (statistic, k, n) as integer numerators over one
+denominator, and a single Fraction is built at the end.
+
+Certification by the Weingarten census
+--------------------------------------
+Each moment also expands as sum_i s_{i_1}^2 ... s_{i_k}^2 * (inner average),
+where i runs over index tuples in {1..n}^k and the inner average (``f_i`` for
+the uu statistic, ``g_i`` for the sq statistic) is a sum of Haar entry
+moments of the unitary factor alone.
 
 Every inner average is a sum of Weingarten values, and which cycle types
 enter that sum, with what multiplicity, depends only on the equality pattern
@@ -29,13 +76,19 @@ it would mean the two derivations do not describe the same quantity, so no
 answer is returned in that case.  An inner average at dimension n is then
 the census weighed by the degree-k Weingarten table at n.
 
-The n^k outer sum is folded into a sum over set partitions of the k
-positions.  The weight of a pattern, the sum over injective assignments of
-values to its blocks, is an augmented monomial symmetric function; it is
-obtained exactly from the power sums p_m = sum_i s_i^(2m) by Moebius
-inversion on the set-partition lattice of the blocks.  No step enumerates
-index tuples, so the cost of a moment does not grow with n beyond the power
-sums and the Weingarten table.
+Folding the n^k outer sum over equality patterns gives
+sum_lam aut(lam) S_lam(n) m_lam(x) over partitions lam of k with at most n
+parts, with S_lam(n) the sum of the inner averages of the patterns whose
+block sizes form lam.  ``_certify`` checks, once per (statistic, k, n) in the
+census orders (uu k <= MAX_UU_ORDER, sq k <= MAX_SQ_ORDER) and the domain of
+``f_i``/``g_i``, that this is the hook sum coefficient by coefficient in the
+monomial basis, which proves the two derivations the same polynomial in x
+for every profile of length n.  A mismatch raises ``CrossCheckError``.
+
+``composition_census`` weighs the same patterns by their injective weights,
+augmented monomial symmetric functions obtained exactly from the power sums
+p_m = sum_i s_i^(2m) by Moebius inversion on the set-partition lattice of
+the blocks.
 """
 
 from __future__ import annotations
@@ -63,8 +116,9 @@ from .permutations import (
 from .profiles import SingularProfile
 from .weingarten import wg_class_table
 
-# trace_moment_uu needs the inner average at word length k-1, trace_moment_sq
-# at word length k; both stay within the Weingarten table's degree ceiling.
+# The census orders: the hook sums are certified against the Weingarten
+# census up to these orders.  The uu inner average has word length k-1, the
+# sq one word length k; larger orders are served without a census.
 MAX_UU_ORDER = 6
 MAX_SQ_ORDER = 5
 
@@ -354,46 +408,137 @@ def _weighted_patterns(
         yield pattern, sizes, weights[key]
 
 
-def _pattern_sum(k: int, profile: SingularProfile, inner) -> Fraction:
-    """sum_i prod_l s_{i_l}^2 * inner(i) over all i in {1..n}^k, folded over
-    equality patterns."""
-    total = Fraction(0)
-    for pattern, _sizes, weight in _weighted_patterns(k, profile):
-        if weight != 0:
-            total += inner(pattern) * weight
-    return total
+@lru_cache(maxsize=None)
+def _hook_coefficients(
+    statistic: Statistic, k: int, n: int
+) -> tuple[tuple[int, ...], int]:
+    """The hook coefficients a_r(n) of a trace moment as integer numerators
+    over one common denominator: (numerators, denominator).
+
+    With H_r = k (k-r-1)! r! and C_r(n) = prod_{j<k-r} (n+j) prod_{1<=i<=r} (n-i)
+    the hook-length and content products of (k-r, 1^r):
+
+    sq: a_r = H_r / C_r(n);
+    uu: a_r = (H_r / k) (n + k - 1 - 2r) / C_r(n),
+
+    for the hooks with at most n rows, r < min(k, n).
+    """
+    if statistic not in ("uu", "sq"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    numerators, denominators = [], []
+    for r in range(min(k, n)):
+        numerator = math.factorial(k - r - 1) * math.factorial(r)
+        numerators.append(numerator * (k if statistic == "sq" else n + k - 1 - 2 * r))
+        denominators.append(
+            math.prod(range(n, n + k - r)) * math.prod(range(n - r, n))
+        )
+    common = math.lcm(*denominators)
+    scaled = [a * (common // c) for a, c in zip(numerators, denominators)]
+    g = math.gcd(common, *scaled)
+    return tuple(a // g for a in scaled), common // g
+
+
+def _hook_schurs(e: Sequence[int], h: Sequence[int], k: int, hooks: int) -> list[int]:
+    """s_(k-r, 1^r) = sum_{j<=r} (-1)^j h_{k-r+j} e_{r-j} for r < ``hooks``,
+    the hook case of the Jacobi-Trudi identity, from the elementary
+    (``e``) and complete (``h``) symmetric values."""
+    return [
+        sum((-1) ** j * h[k - r + j] * e[r - j] for j in range(r + 1))
+        for r in range(hooks)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _certify(statistic: Statistic, k: int, n: int) -> None:
+    """Check the hook sum against the Weingarten census at (k, n), once.
+
+    Folded over equality patterns, a moment is sum_lam aut(lam) S_lam(n)
+    m_lam(x): S_lam(n) sums the inner averages (``f_i`` or ``g_i``) of the
+    patterns whose block sizes form the partition lam, aut(lam) = prod_i
+    m_i(lam)! turns the injective pattern weight into the monomial symmetric
+    function m_lam, and only lam with at most n parts survive in n
+    variables.  The hook sum has the m_lam coefficient sum_r a_r(n)
+    K(h_r, lam).  Equal coefficients for every lam make the two the same
+    polynomial in x, so the check covers every profile of length n.
+
+    K(h_r, lam) = C(l(lam) - 1, r) is read off the same Jacobi-Trudi
+    combination the evaluation uses: the coefficient of x^lam in
+    h_{k-b} e_b is C(l(lam), b), whatever the parts of lam.
+
+    Runs inside the census orders and the domain of ``f_i``/``g_i`` (uu:
+    2 <= k <= MAX_UU_ORDER, n >= k - 1; sq: k <= MAX_SQ_ORDER, n >= k) and
+    is a no-op elsewhere.  A mismatch raises ``CrossCheckError``.
+    """
+    if statistic == "uu":
+        if not (2 <= k <= MAX_UU_ORDER and n >= k - 1):
+            return
+        inner = f_i
+    else:
+        if not (k <= MAX_SQ_ORDER and n >= k):
+            return
+        inner = g_i
+    groups: dict[tuple[int, ...], Fraction] = {}
+    for pattern in equality_patterns(k):
+        blocks = max(pattern)
+        if blocks > n:
+            continue
+        lam = tuple(sorted((pattern.count(b) for b in range(1, blocks + 1)), reverse=True))
+        groups[lam] = groups.get(lam, Fraction(0)) + inner(pattern, n)
+    numerators, denominator = _hook_coefficients(statistic, k, n)
+    for lam, total in groups.items():
+        aut = math.prod(math.factorial(m) for m in Counter(lam).values())
+        kostka = _hook_schurs(
+            [math.comb(len(lam), b) for b in range(k + 1)], [1] * (k + 1), k, len(numerators)
+        )
+        hook_side = sum(a * c for a, c in zip(numerators, kostka))
+        if aut * total * denominator != hook_side:
+            raise CrossCheckError(
+                f"{statistic} hook sum disagrees with the census at k={k}, n={n}, "
+                f"lambda={lam}: {aut * total} vs {Fraction(hook_side, denominator)}"
+            )
+
+
+def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fraction:
+    """sum_r a_r(n) s_(k-r, 1^r)(x) with x_i = s_i^2, in integers.
+
+    The x_i are scaled to integers X_i = D x_i over D, the lcm of their
+    denominators; e_j(X) and h_j(X) come from the one-variable-at-a-time
+    recursions in O(n k) integer steps, and the Schur polynomials are
+    homogeneous of degree k, so the moment is one fraction
+    sum_r A_r s_r(X) / (Q D^k) with A_r / Q the cached coefficients.
+    """
+    _require_exact(profile)
+    if k < 1:
+        raise ValueError("moment order must be at least 1")
+    n = profile.n
+    _certify(statistic, k, n)
+    numerators, denominator = _hook_coefficients(statistic, k, n)
+    squares = [v * v for v in profile.values]
+    scale = math.lcm(*(x.denominator for x in squares))
+    xs = [x.numerator * (scale // x.denominator) for x in squares]
+    hooks = len(numerators)
+    e = [1] + [0] * (hooks - 1)
+    h = [1] + [0] * k
+    for x in xs:
+        for j in range(hooks - 1, 0, -1):
+            e[j] += x * e[j - 1]
+        for j in range(1, k + 1):
+            h[j] += x * h[j - 1]
+    total = sum(a * s for a, s in zip(numerators, _hook_schurs(e, h, k, hooks)))
+    return Fraction(total, denominator * scale**k)
 
 
 def trace_moment_uu(k: int, profile: SingularProfile) -> Fraction:
-    """E trace(A^k (A^k)^*), exactly.
-
-    k = 1 is deterministic: trace(A A^*) = sum s_i^2.  n = 1 collapses to
-    s^(2k).  Otherwise the pattern-folded expansion over ``f_i`` is used.
-    """
-    _require_exact(profile)
-    if k < 1:
-        raise ValueError("moment order must be at least 1")
-    n = profile.n
-    if k == 1:
-        return Fraction(sum(v * v for v in profile.values))
-    if n == 1:
-        return profile.values[0] ** (2 * k)
-    return _pattern_sum(k, profile, lambda pattern: f_i(pattern, n))
+    """E trace(A^k (A^k)^*), exactly, for any k >= 1 and any n: the hook
+    sum with a_r = (H_r / k) (n + k - 1 - 2r) / C_r(n); see the module
+    docstring."""
+    return _hook_sum("uu", k, profile)
 
 
 def trace_moment_sq(k: int, profile: SingularProfile) -> Fraction:
-    """E |trace(A^k)|^2, exactly.
-
-    n = 1 collapses to s^(2k); otherwise the pattern-folded expansion over
-    ``g_i`` is used (k = 1 works through the same machinery and equals b^2).
-    """
-    _require_exact(profile)
-    if k < 1:
-        raise ValueError("moment order must be at least 1")
-    n = profile.n
-    if n == 1:
-        return profile.values[0] ** (2 * k)
-    return _pattern_sum(k, profile, lambda pattern: g_i(pattern, n))
+    """E |trace(A^k)|^2, exactly, for any k >= 1 and any n: the hook sum
+    with a_r = H_r / C_r(n); see the module docstring."""
+    return _hook_sum("sq", k, profile)
 
 
 @dataclass(frozen=True)
@@ -403,15 +548,16 @@ class BoundReport:
     ``bound_core`` is n k^2 (b^2 + k M^2 / n)^k for mode "uu" and
     (b^2 + k M^2 / n)^k for mode "sq"; the unspecified absolute constant is
     deliberately not applied, so ``ratio`` is the measured moment / core and
-    is reported, never asserted against a constant.  ``applicable`` records
-    whether k^6 < (2 - epsilon) n holds.
+    is reported, never asserted against a constant; it is None when the core
+    is 0 (an all-zero profile).  ``applicable`` records whether
+    k^6 < (2 - epsilon) n holds.
     """
 
     k: int
     n: int
     mode: str
     epsilon: Fraction
-    exact_moment: Fraction | None
+    exact_moment: Fraction
     bound_core: Fraction
     ratio: Fraction | None
     applicable: bool
@@ -434,15 +580,8 @@ def theorem_bound(
     core = (profile.b2 + Fraction(k) * profile.M * profile.M / n) ** k
     if mode == "uu":
         core = n * k * k * core
-    exact: Fraction | None
-    try:
-        if mode == "uu":
-            exact = trace_moment_uu(k, profile)
-        else:
-            exact = trace_moment_sq(k, profile)
-    except ValueError:
-        exact = None
-    ratio = exact / core if exact is not None and core != 0 else None
+    exact = trace_moment_uu(k, profile) if mode == "uu" else trace_moment_sq(k, profile)
+    ratio = exact / core if core != 0 else None
     applicable = k**6 < (2 - eps) * n
     return BoundReport(k, n, mode, eps, exact, core, ratio, applicable)
 

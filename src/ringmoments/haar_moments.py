@@ -101,6 +101,15 @@ def entry_census(spec: MomentSpec) -> Counter:
     return cycle_type_census(products)
 
 
+def wg_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """The Weingarten table that Haar moments at dimension n use: the
+    orthogonality system for n >= k, the character expansion below it,
+    where the system is singular."""
+    if n >= k:
+        return wg_class_table(k, n)
+    return wg_character_table(k, n)
+
+
 def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
     """sum over the census of multiplicity * Weingarten value of the type."""
     return sum((count * table[lam] for lam, count in census.items()), Fraction(0))
@@ -109,7 +118,7 @@ def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
 def entry_moment(spec: MomentSpec) -> Fraction:
     """Exact Haar average of the word described by ``spec``: its
     ``entry_census`` weighed by the Weingarten table of degree k at dimension
-    n.
+    n (``wg_table``: the character expansion when n < k).
 
     The value is always a real rational.  Requires k <= 8; a mismatch in the
     row or column multisets returns 0 without touching the table.
@@ -122,13 +131,7 @@ def entry_moment(spec: MomentSpec) -> Fraction:
     census = entry_census(spec)
     if not census:
         return Fraction(0)
-    if spec.n >= spec.k:
-        table = wg_class_table(spec.k, spec.n)
-    else:
-        # low-dimension regime: the orthogonality system is singular and
-        # the character expansion supplies the moment-correct values
-        table = wg_character_table(spec.k, spec.n)
-    return census_value(census, table)
+    return census_value(census, wg_table(spec.k, spec.n))
 
 
 def mc_entry_moment(spec: MomentSpec, samples: int, seed: int) -> MomentEstimate:

@@ -59,6 +59,16 @@ class TestWgCommand:
         assert "unbounded (k^2 >= 2n)" in out
         assert "not applicable" in out
 
+    def test_dimension_below_degree(self, capsys):
+        # the orthogonality system is singular at n < k; the character
+        # expansion gives the value entry_moment uses
+        from ringmoments.weingarten import wg_character_table
+
+        code, out, _ = run(capsys, "wg", "--k", "3", "--n", "2")
+        assert code == 0
+        assert f"exact = {wg_character_table(3, 2)[(1, 1, 1)]}" in out
+        assert "series tail bound = unbounded" in out
+
     def test_bad_cycle_string(self, capsys):
         code, _, err = run(capsys, "wg", "--k", "2", "--n", "5", "--pi", "(1 9)")
         assert code == 2
@@ -136,13 +146,35 @@ class TestExactMomentCommand:
             assert f"census {name} = " in out
         assert "census chain ok = True" in out
 
-    def test_out_of_domain_order(self, capsys):
-        # sq at k = 3 needs n >= 3; a 2-point profile is a usage error
-        code, _, err = run(
+    def test_order_above_dimension(self, capsys):
+        # sq at k = 3 on a 2-point profile: the hook sum serves n < k
+        code, out, _ = run(
             capsys, "exact-moment", "--k", "3", "--profile", "1,2", "--mode", "sq"
         )
-        assert code == 2
-        assert "usage error" in err
+        assert code == 0
+        assert "exact moment = 125/4" in out
+
+    def test_paper_scale_order(self, capsys):
+        for mode in ("uu", "sq"):
+            code, out, _ = run(
+                capsys, "exact-moment", "--k", "24",
+                "--profile", "uniform:1/2:4:4096", "--mode", mode,
+            )
+            assert code == 0
+            assert "k = 24  n = 4096" in out
+
+    def test_zero_profile_has_no_ratio(self, capsys):
+        code, out, _ = run(capsys, "exact-moment", "--k", "2", "--profile", "0,0")
+        assert code == 0
+        assert "exact moment = 0" in out
+        assert "ratio = undefined" in out
+
+    def test_moment_beyond_float_range(self, capsys):
+        code, out, _ = run(
+            capsys, "exact-moment", "--k", "300", "--profile", "1000,2000"
+        )
+        assert code == 0
+        assert "exact moment (float) = beyond the float range" in out
 
     def test_large_dimension_needs_no_enumeration(self, capsys):
         # 300^3 index tuples, but only 5 equality patterns
@@ -337,6 +369,39 @@ class TestSpectrumExperimentCommand:
     def test_zero_replications(self, capsys, tmp_path, payload):
         err = self._usage_error(capsys, tmp_path, dict(payload, replications=0))
         assert "replication" in err
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"experiment": "radius-rate", "family": {"kind": "grid"}, "n_grid": 4}, "n_grid"),
+            ({"experiment": "radius-rate", "family": {"kind": "grid"}, "n_grid": [4.5]}, "n_grid"),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "lo": None},
+                 "n_grid": [4]},
+                "lo",
+            ),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "hi": "2"},
+                 "n_grid": [4]},
+                "hi",
+            ),
+            ({"experiment": "tail", "profile": "1,2", "deltas": 0.1}, "deltas"),
+            ({"experiment": "tail", "profile": "1,2", "deltas": [None]}, "deltas"),
+            ({"experiment": "tail", "profile": 3, "deltas": [0.1]}, "profile"),
+            ({"experiment": "tail", "profile": "1,2", "deltas": [0.1], "seed": "7"}, "seed"),
+            (
+                {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replications": 2.5},
+                "replications",
+            ),
+            (
+                {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replications": True},
+                "replications",
+            ),
+        ],
+    )
+    def test_mistyped_value(self, capsys, tmp_path, payload, key):
+        err = self._usage_error(capsys, tmp_path, payload)
+        assert repr(key) in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -29,9 +29,11 @@ from ringmoments.exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from ringmoments.haar_moments import MomentSpec, entry_moment
+from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
+from ringmoments.montecarlo import estimate_trace_moment
 from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0
 from ringmoments.profiles import SingularProfile
+from ringmoments.weingarten import wg_character_table
 
 
 def brute_uu(k: int, profile: SingularProfile) -> Fraction:
@@ -74,6 +76,23 @@ def brute_sq(k: int, profile: SingularProfile) -> Fraction:
 
 def ramp(n: int) -> SingularProfile:
     return SingularProfile.from_values([Fraction(v) for v in range(1, n + 1)])
+
+
+def census_oracle(k: int, profile: SingularProfile, inner) -> Fraction:
+    """sum_i prod_l s_{i_l}^2 * inner(i) over all i in {1..n}^k, folded over
+    equality patterns: the per-profile Weingarten-census evaluation that the
+    hook sums replace."""
+    total = Fraction(0)
+    for pattern, _sizes, weight in exact_moments._weighted_patterns(k, profile):
+        if weight != 0:
+            total += inner(pattern) * weight
+    return total
+
+
+def seeded_profile(rng, n: int) -> SingularProfile:
+    return SingularProfile.from_values(
+        [Fraction(rng.randint(0, 9), rng.randint(1, 5)) for _ in range(n)]
+    )
 
 
 class TestInnerAverages:
@@ -350,6 +369,200 @@ class TestStructuralProperties:
             trace_moment_uu(2, profile)
 
 
+class TestHookSums:
+    """The hook-sum closed forms against the census, the constant-profile
+    oracles, brute force below the census domain, and the certification."""
+
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 7)] + [("sq", k) for k in range(1, 6)],
+    )
+    def test_bit_equal_to_census_oracle(self, statistic, k):
+        import random
+
+        rng = random.Random(1000 * k + len(statistic))
+        low = k - 1 if statistic == "uu" else k
+        moment = trace_moment_uu if statistic == "uu" else trace_moment_sq
+        for n in range(max(low, 1), k + 4):
+            inner = (
+                (lambda pattern: f_i(pattern, n))
+                if statistic == "uu"
+                else (lambda pattern: g_i(pattern, n))
+            )
+            for _ in range(2):
+                profile = seeded_profile(rng, n)
+                assert moment(k, profile) == census_oracle(k, profile, inner), (
+                    statistic, k, n, profile.values,
+                )
+
+    def test_constant_profile_oracles_to_order_forty(self):
+        # A = c W with W Haar: n c^(2k) (uu) and min(k, n) c^(2k) (sq),
+        # n < k included
+        for c in (Fraction(1), Fraction(3, 2)):
+            for k in (1, 2, 7, 13, 24, 40):
+                for n in (1, 2, 5, 9, 24, 41):
+                    profile = SingularProfile.constant(c, n)
+                    assert trace_moment_uu(k, profile) == n * c ** (2 * k), (k, n)
+                    assert trace_moment_sq(k, profile) == min(k, n) * c ** (2 * k), (k, n)
+
+    @pytest.mark.parametrize(
+        "k,n,values",
+        [(3, 1, (3,)), (3, 2, (1, 2)), (4, 2, (Fraction(1, 2), 3)), (4, 3, (1, 2, 3))],
+    )
+    def test_below_the_census_domain_matches_brute(self, k, n, values):
+        # the brute double sums reach entry_moment's character table at n < k
+        profile = SingularProfile.from_values([Fraction(v) for v in values])
+        assert trace_moment_sq(k, profile) == brute_sq(k, profile)
+        if n < k - 1:
+            assert trace_moment_uu(k, profile) == brute_uu(k, profile)
+
+    def test_census_identity_below_the_degree(self):
+        # aut(lam) S_lam(n) == sum_r a_r(n) C(l(lam) - 1, r) also holds when
+        # the census is weighed by the character-expansion table at n below
+        # the degree, where f_i and g_i are not defined
+        import math
+        from collections import Counter
+
+        checked = 0
+        for statistic, orders in (("uu", range(2, 7)), ("sq", range(1, 6))):
+            for k in orders:
+                degree = k - 1 if statistic == "uu" else k
+                for n in range(1, degree):
+                    table = wg_character_table(degree, n)
+                    groups = {}
+                    for pattern in equality_patterns(k):
+                        if max(pattern) > n:
+                            continue
+                        sizes = [pattern.count(b) for b in range(1, max(pattern) + 1)]
+                        lam = tuple(sorted(sizes, reverse=True))
+                        census, _ = route_censuses(statistic, pattern)
+                        groups[lam] = groups.get(lam, 0) + census_value(census, table)
+                    nums, den = exact_moments._hook_coefficients(statistic, k, n)
+                    for lam, total in groups.items():
+                        aut = math.prod(math.factorial(m) for m in Counter(lam).values())
+                        hook_side = sum(
+                            Fraction(a, den) * math.comb(len(lam) - 1, r)
+                            for r, a in enumerate(nums)
+                        )
+                        assert aut * total == hook_side, (statistic, k, n, lam)
+                        checked += 1
+        assert checked > 0
+
+    def test_hook_kostka_numbers_from_jacobi_trudi(self):
+        import math
+
+        for k in range(1, 9):
+            for length in range(1, k + 1):
+                e = [math.comb(length, b) for b in range(k + 1)]
+                kostka = exact_moments._hook_schurs(e, [1] * (k + 1), k, k)
+                assert kostka == [math.comb(length - 1, r) for r in range(k)]
+
+    def test_hook_coefficients_at_order_three(self):
+        import math
+
+        # k = 3, n = 2: H_0 = 6, H_1 = 3, C_0 = 2 * 3 * 4, C_1 = 2 * 3 * 1
+        nums, den = exact_moments._hook_coefficients("sq", 3, 2)
+        assert [Fraction(a, den) for a in nums] == [Fraction(6, 24), Fraction(3, 6)]
+        assert math.gcd(den, *nums) == 1
+        # (H_r / k) (n + k - 1 - 2r) / C_r: 2 * 4 / 24 and 1 * 2 / 6
+        nums, den = exact_moments._hook_coefficients("uu", 3, 2)
+        assert [Fraction(a, den) for a in nums] == [Fraction(8, 24), Fraction(2, 6)]
+        with pytest.raises(ValueError):
+            exact_moments._hook_coefficients("xx", 3, 2)
+
+    def test_certified_once_per_statistic_order_and_dimension(self, monkeypatch):
+        calls = []
+        real = exact_moments.f_paths
+
+        def counted(indices, n):
+            calls.append(indices)
+            return real(indices, n)
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "f_paths", counted)
+        profile = ramp(5)
+        trace_moment_uu(4, profile)
+        assert len(calls) == 15  # Bell(4) patterns, all with at most 5 blocks
+        trace_moment_uu(4, profile.scaled(Fraction(1, 3)))
+        assert len(calls) == 15
+        trace_moment_uu(9, ramp(3))  # beyond the census orders: no census
+        assert len(calls) == 15
+
+    def test_mutated_coefficient_raises(self, monkeypatch):
+        real = exact_moments._hook_coefficients
+
+        def skewed(statistic, k, n):
+            nums, den = real(statistic, k, n)
+            return (nums[0] + 1,) + nums[1:], den
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "_hook_coefficients", skewed)
+        try:
+            with pytest.raises(CrossCheckError, match=r"uu .*k=3, n=4"):
+                trace_moment_uu(3, ramp(4))
+            with pytest.raises(CrossCheckError, match=r"sq .*k=5, n=6"):
+                trace_moment_sq(5, ramp(6))
+        finally:
+            exact_moments._certify.cache_clear()
+
+    def test_uu_factor_mutation_raises(self, monkeypatch):
+        # (n + k - 1 - 2r) replaced by (n + k - 2r): the census rejects it
+        real = exact_moments._hook_coefficients
+
+        def shifted(statistic, k, n):
+            import math
+
+            # uu a_r = (sq a_r / k) (n + k - 1 - 2r); mutate the last factor
+            nums, den = real("sq", k, n)
+            coeffs = [Fraction(a, den) / k * (n + k - 2 * r) for r, a in enumerate(nums)]
+            common = math.lcm(*(c.denominator for c in coeffs))
+            return tuple(int(c * common) for c in coeffs), common
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "_hook_coefficients", shifted)
+        try:
+            with pytest.raises(CrossCheckError, match=r"k=6, n=5"):
+                trace_moment_uu(6, ramp(5))
+        finally:
+            exact_moments._certify.cache_clear()
+        assert real("uu", 6, 5) != shifted("uu", 6, 5)
+
+    def test_flipped_jacobi_trudi_sign_raises(self, monkeypatch):
+        def flipped(e, h, k, hooks):
+            return [
+                sum(h[k - r + j] * e[r - j] for j in range(r + 1)) for r in range(hooks)
+            ]
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "_hook_schurs", flipped)
+        try:
+            with pytest.raises(CrossCheckError, match=r"sq .*k=4, n=4"):
+                trace_moment_sq(4, ramp(4))
+        finally:
+            exact_moments._certify.cache_clear()
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError):
+            trace_moment_uu(0, ramp(2))
+        with pytest.raises(ValueError):
+            trace_moment_sq(0, ramp(2))
+
+
+class TestHookSumsAgainstMonteCarlo:
+    """k = 8 at n <= 4: beyond the census orders and below the degree, where
+    only the hook sums reach.  Seed, sample count and the 4-SE window were
+    fixed before the first run."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["uu", "sq"])
+    def test_order_eight(self, n, mode):
+        profile = SingularProfile.uniform_grid(Fraction(1, 2), Fraction(3, 2), n)
+        exact = (trace_moment_uu if mode == "uu" else trace_moment_sq)(8, profile)
+        est = estimate_trace_moment(8, profile, 100000, 8128, mode)
+        tol = 4 * est.std_error + 1e-9 * abs(float(exact))
+        assert abs(est.mean - float(exact)) <= tol, (n, mode, est.mean, float(exact), tol)
+
+
 class TestTheoremBound:
     def test_order_one_ratio_below_one(self):
         for values in ((1, 1, 1), (1, 2, 3), (2, 7)):
@@ -377,12 +590,12 @@ class TestTheoremBound:
         big = SingularProfile.constant(Fraction(1), 50)
         assert theorem_bound(1, big).applicable is True  # 1 < 1.5 * 50
 
-    def test_unreachable_exact_reported_as_none(self):
+    def test_exact_below_the_degree(self):
         profile = SingularProfile.from_values([Fraction(1), Fraction(2)])
         report = theorem_bound(3, profile, mode="sq")  # degree 3 at n=2
-        assert report.exact_moment is None
-        assert report.ratio is None
-        assert report.bound_core > 0
+        assert report.exact_moment == Fraction(125, 4)
+        assert report.exact_moment == brute_sq(3, profile)
+        assert report.ratio == report.exact_moment / report.bound_core
 
     def test_epsilon_validation(self):
         profile = SingularProfile.constant(Fraction(1), 4)
