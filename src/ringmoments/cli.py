@@ -30,7 +30,7 @@ from .exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from .haar_moments import MomentSpec, entry_moment, mc_entry_moment, wg_table
+from .haar_moments import MomentSpec, entry_moment, mc_entry_moment
 from .montecarlo import (
     EigensolverError,
     ExperimentRecord,
@@ -41,11 +41,22 @@ from .montecarlo import (
     write_records_csv,
     write_records_jsonl,
 )
-from .permutations import Permutation
+from .permutations import Permutation, enumerate_sk0
 from .profiles import SingularProfile
-from .weingarten import wg_alt_bounds, wg_bound, wg_series
+from .weingarten import (
+    class_representative,
+    wg_alt_bounds,
+    wg_bound,
+    wg_class_table,
+    wg_series,
+)
 
 OUTPUT_DIR_ENV = "RINGMOMENTS_OUTPUT_DIR"
+
+# the keys each spectrum-experiment config may carry; any other is a typo
+RADIUS_RATE_KEYS = {"experiment", "seed", "replications", "family", "n_grid"}
+TAIL_KEYS = {"experiment", "seed", "replications", "profile", "n", "deltas"}
+FAMILY_KEYS = {"kind", "lo", "hi"}
 
 
 def parse_profile(text: str) -> SingularProfile:
@@ -74,8 +85,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_wg(args) -> int:
     pi = Permutation.from_cycle_string(args.pi, args.k)
-    exact = wg_table(args.k, args.n)[pi.cycle_type()]
     series = wg_series(args.k, args.n, pi, args.r_max)
+    exact = series.exact
     print(f"pi = {pi}  cycle type = {pi.cycle_type()}")
     print(f"exact = {exact}")
     tail = "unbounded (k^2 >= 2n)" if series.tail_bound is None else str(series.tail_bound)
@@ -146,8 +157,6 @@ def _cmd_exact_moment(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    from .permutations import enumerate_sk0
-
     k = args.k
     failures = 0
     print(f"counting check at k = {k}: word distance census over "
@@ -167,12 +176,10 @@ def _cmd_verify_lemmas(args) -> int:
                         failures += 1
     n = args.n if args.n else max(k * k, k)
     if k * k < 2 * n:
-        from .weingarten import wg_class_table
-
         table = wg_class_table(k, n)
         print(f"magnitude check at k = {k}, n = {n}:")
         for lam, value in table.items():
-            pi = _class_rep(lam, k)
+            pi = class_representative(lam, k)
             bound = wg_bound(k, n, pi)
             ok = abs(value) <= bound.value
             print(f"class {lam}: |wg| = {abs(value)} <= {bound.value}: {ok}")
@@ -182,12 +189,6 @@ def _cmd_verify_lemmas(args) -> int:
         raise CrossCheckError(f"{failures} bound violations")
     print("all checks passed")
     return 0
-
-
-def _class_rep(lam, k) -> Permutation:
-    from .weingarten import class_representative
-
-    return class_representative(lam, k)
 
 
 def _cmd_mc_moment(args) -> int:
@@ -238,6 +239,14 @@ def _config_field(config: dict, key: str, kind: str):
     return config[key]
 
 
+def _reject_unknown_keys(config: dict, allowed: set, kind: str) -> None:
+    """A usage error naming every key of ``config`` outside ``allowed``."""
+    unknown = sorted(set(config) - allowed)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"{kind} config has unknown key(s) {names}")
+
+
 def _config_int(value, key: str) -> int:
     """A JSON integer, or a usage error naming the key."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -271,9 +280,11 @@ def _cmd_spectrum_experiment(args) -> int:
     writer = write_records_csv if args.format == "csv" else write_records_jsonl
     suffix = "csv" if args.format == "csv" else "jsonl"
     if kind == "radius-rate":
+        _reject_unknown_keys(config, RADIUS_RATE_KEYS, kind)
         family_cfg = _config_field(config, "family", kind)
         if not isinstance(family_cfg, dict):
             raise ValueError("radius-rate family must be a JSON object")
+        _reject_unknown_keys(family_cfg, FAMILY_KEYS, "family")
         family = ProfileFamily(
             kind=_config_field(family_cfg, "kind", "family"),
             lo=_config_number(family_cfg.get("lo", 1.0), "lo"),
@@ -300,6 +311,7 @@ def _cmd_spectrum_experiment(args) -> int:
         print(f"wrote {records_path}")
         print(f"wrote {fit_path}")
     elif kind == "tail":
+        _reject_unknown_keys(config, TAIL_KEYS, kind)
         profile_text = _config_field(config, "profile", kind)
         if not isinstance(profile_text, str):
             raise ValueError(f"config key 'profile' must be a string, got {profile_text!r}")

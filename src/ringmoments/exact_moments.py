@@ -41,7 +41,7 @@ the Weingarten function (Collins-Sniady 2006) summed over conjugacy classes.
 
 The uu factor.  (n + k - 1 - 2r) / k was fitted from Schur coefficients
 computed symbolically in n from the censuses below, at k <= 4, and is not
-derived here.  Inside the census orders (2 <= k <= MAX_UU_ORDER, n >= k - 1)
+derived here.  Inside the census orders (2 <= k <= MAX_UU_ORDER, every n)
 it is certified per (k, n) before any answer is returned; beyond them the uu
 formula is a verified conjecture: it meets the constant-profile oracle
 n c^(2k) at every k and n, and a Monte-Carlo check at k = 8.
@@ -74,16 +74,17 @@ The two censuses are compared as integer vectors, which checks the
 derivations at every n at once.  A disagreement raises ``CrossCheckError``;
 it would mean the two derivations do not describe the same quantity, so no
 answer is returned in that case.  An inner average at dimension n is then
-the census weighed by the degree-k Weingarten table at n.
+the census weighed by the degree-k Weingarten table at n, which is defined
+at every n >= 1, below the degree too.
 
 Folding the n^k outer sum over equality patterns gives
 sum_lam aut(lam) S_lam(n) m_lam(x) over partitions lam of k with at most n
 parts, with S_lam(n) the sum of the inner averages of the patterns whose
-block sizes form lam.  ``_certify`` checks, once per (statistic, k, n) in the
-census orders (uu k <= MAX_UU_ORDER, sq k <= MAX_SQ_ORDER) and the domain of
-``f_i``/``g_i``, that this is the hook sum coefficient by coefficient in the
-monomial basis, which proves the two derivations the same polynomial in x
-for every profile of length n.  A mismatch raises ``CrossCheckError``.
+block sizes form lam.  ``_certify`` checks, once per (statistic, k, n), at
+every n inside the census orders (uu k <= MAX_UU_ORDER, sq k <= MAX_SQ_ORDER),
+that this is the hook sum coefficient by coefficient in the monomial basis,
+which proves the two derivations the same polynomial in x for every profile
+of length n.  A mismatch raises ``CrossCheckError``.
 
 ``composition_census`` weighs the same patterns by their injective weights,
 augmented monomial symmetric functions obtained exactly from the power sums
@@ -261,8 +262,6 @@ def f_paths(indices, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("uu inner average needs word length k >= 2")
     if k > MAX_UU_ORDER:
         raise ValueError(f"order {k} above supported ceiling {MAX_UU_ORDER}")
-    if n < k - 1:
-        raise ValueError(f"needs n >= k - 1 = {k - 1}, got {n}")
     census_a, census_b = route_censuses("uu", i.pattern())
     table = wg_class_table(k - 1, n)
     return census_value(census_a, table), census_value(census_b, table)
@@ -293,8 +292,6 @@ def g_paths(indices, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("sq inner average needs word length k >= 1")
     if k > MAX_SQ_ORDER:
         raise ValueError(f"order {k} above supported ceiling {MAX_SQ_ORDER}")
-    if n < k:
-        raise ValueError(f"needs n >= k = {k}, got {n}")
     census_a, census_b = route_censuses("sq", i.pattern())
     table = wg_class_table(k, n)
     return census_value(census_a, table), census_value(census_b, table)
@@ -465,16 +462,16 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
     combination the evaluation uses: the coefficient of x^lam in
     h_{k-b} e_b is C(l(lam), b), whatever the parts of lam.
 
-    Runs inside the census orders and the domain of ``f_i``/``g_i`` (uu:
-    2 <= k <= MAX_UU_ORDER, n >= k - 1; sq: k <= MAX_SQ_ORDER, n >= k) and
-    is a no-op elsewhere.  A mismatch raises ``CrossCheckError``.
+    Runs inside the census orders (uu: 2 <= k <= MAX_UU_ORDER; sq:
+    k <= MAX_SQ_ORDER) at every n >= 1, and is a no-op beyond them.  A
+    mismatch raises ``CrossCheckError``.
     """
     if statistic == "uu":
-        if not (2 <= k <= MAX_UU_ORDER and n >= k - 1):
+        if not 2 <= k <= MAX_UU_ORDER:
             return
         inner = f_i
     else:
-        if not (k <= MAX_SQ_ORDER and n >= k):
+        if k > MAX_SQ_ORDER:
             return
         inner = g_i
     groups: dict[tuple[int, ...], Fraction] = {}

@@ -32,7 +32,11 @@ import numpy as np
 
 from .montecarlo import MomentEstimate, _finish_estimate, haar_batch, rng_stream
 from .permutations import compose_images, cycle_type_census, invert_images
-from .weingarten import MAX_DEGREE, wg_character_table, wg_class_table
+from .weingarten import wg_class_table
+
+# The matchings are enumerated one by one: a word of length k with every
+# index equal has k! of them on each side, so the census grows as (k!)^2.
+MAX_WORD_LENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,6 @@ def entry_census(spec: MomentSpec) -> Counter:
     return cycle_type_census(products)
 
 
-def wg_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """The Weingarten table that Haar moments at dimension n use: the
-    orthogonality system for n >= k, the character expansion below it,
-    where the system is singular."""
-    if n >= k:
-        return wg_class_table(k, n)
-    return wg_character_table(k, n)
-
-
 def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
     """sum over the census of multiplicity * Weingarten value of the type."""
     return sum((count * table[lam] for lam, count in census.items()), Fraction(0))
@@ -118,20 +113,21 @@ def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
 def entry_moment(spec: MomentSpec) -> Fraction:
     """Exact Haar average of the word described by ``spec``: its
     ``entry_census`` weighed by the Weingarten table of degree k at dimension
-    n (``wg_table``: the character expansion when n < k).
+    n, which is defined below the degree too.
 
-    The value is always a real rational.  Requires k <= 8; a mismatch in the
-    row or column multisets returns 0 without touching the table.
+    The value is always a real rational.  Requires k <= MAX_WORD_LENGTH; a
+    mismatch in the row or column multisets returns 0 without touching the
+    table.
 
     >>> entry_moment(MomentSpec(5, (1,), (1,), (1,), (1,)))
     Fraction(1, 5)
     """
-    if spec.k > MAX_DEGREE:
-        raise ValueError(f"word length {spec.k} above supported degree {MAX_DEGREE}")
+    if spec.k > MAX_WORD_LENGTH:
+        raise ValueError(f"word length {spec.k} above supported {MAX_WORD_LENGTH}")
     census = entry_census(spec)
     if not census:
         return Fraction(0)
-    return census_value(census, wg_table(spec.k, spec.n))
+    return census_value(census, wg_class_table(spec.k, spec.n))
 
 
 def mc_entry_moment(spec: MomentSpec, samples: int, seed: int) -> MomentEstimate:

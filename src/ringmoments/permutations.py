@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Literal, Mapping, Sequence
 
 
@@ -204,20 +203,6 @@ class Permutation:
         """Points moved by the permutation, ascending."""
         return tuple(x for x in range(1, self.degree + 1) if self(x) != x)
 
-    def restricted_to_prefix(self, m: int) -> "Permutation":
-        """Restriction to {1, ..., m}; every point above m must be fixed."""
-        if not 1 <= m <= self.degree:
-            raise ValueError(f"prefix length {m} outside 1..{self.degree}")
-        if any(self(x) != x for x in range(m + 1, self.degree + 1)):
-            raise ValueError(f"{self} moves a point above {m}")
-        return Permutation(self.images[:m])
-
-    def extended_to(self, k: int) -> "Permutation":
-        """Embedding into degree k, new points fixed."""
-        if k < self.degree:
-            raise ValueError(f"cannot shrink degree {self.degree} to {k}")
-        return Permutation(self.images + tuple(range(self.degree + 1, k + 1)))
-
     def __str__(self) -> str:
         moved = [c for c in self.cycles() if len(c) > 1]
         if not moved:
@@ -324,125 +309,3 @@ def coset_representatives(
         for a in stab:
             seen.add((a * phi).images)
     return reps
-
-
-@dataclass(frozen=True)
-class MonotoneFactorization:
-    """A word of transpositions (s_1 t_1) ... (s_r t_r) with s_j < t_j and the
-    t_j weakly increasing (strictly when ``strict`` is set).  The word
-    multiplies out with the rightmost factor applied first."""
-
-    degree: int
-    factors: tuple[tuple[int, int], ...]
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        prev_t = 0
-        for s, t in self.factors:
-            if not (1 <= s < t <= self.degree):
-                raise ValueError(f"factor ({s} {t}) is not an ordered pair in 1..{self.degree}")
-            if self.strict:
-                if t <= prev_t:
-                    raise ValueError("larger points must strictly increase")
-            elif t < prev_t:
-                raise ValueError("larger points must weakly increase")
-            prev_t = t
-
-    @property
-    def length(self) -> int:
-        return len(self.factors)
-
-    def product(self) -> Permutation:
-        """Multiply the word out, left to right as written."""
-        acc = Permutation.identity(self.degree)
-        for s, t in self.factors:
-            acc = acc * Permutation.transposition(self.degree, s, t)
-        return acc
-
-
-@lru_cache(maxsize=None)
-def _monotone_count_table(k: int, r_max: int) -> tuple[dict[tuple[int, ...], int], ...]:
-    """table[r][images] = number of weakly monotone transposition words of
-    length r multiplying to the permutation with those images.
-
-    Dynamic programming over (current product, floor for the next larger
-    point); appending (s t) on the right multiplies the product on the right.
-    Counts are exact arbitrary-precision integers.
-    """
-    identity = tuple(range(1, k + 1))
-    pairs = [(s, t) for t in range(2, k + 1) for s in range(1, t)]
-    levels: list[dict[tuple[int, ...], int]] = [{identity: 1}]
-    frontier: dict[tuple[tuple[int, ...], int], int] = {(identity, 0): 1}
-    for _ in range(r_max):
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (img, floor), cnt in frontier.items():
-            for s, t in pairs:
-                if t < floor:
-                    continue
-                swapped = list(img)
-                swapped[s - 1], swapped[t - 1] = img[t - 1], img[s - 1]
-                key = (tuple(swapped), t)
-                nxt[key] = nxt.get(key, 0) + cnt
-        frontier = nxt
-        level: dict[tuple[int, ...], int] = {}
-        for (img, _), cnt in frontier.items():
-            level[img] = level.get(img, 0) + cnt
-        levels.append(level)
-    return tuple(levels)
-
-
-def count_monotone_factorizations(p: Permutation, r: int) -> int:
-    """Number of words (s_1 t_1) ... (s_r t_r) with s_j < t_j, the t_j weakly
-    increasing, multiplying to p.  Zero whenever r is below the transposition
-    distance or has the wrong parity; both fall out of the count itself.
-
-    >>> count_monotone_factorizations(Permutation((2, 1, 3)), 3)
-    5
-    """
-    if r < 0:
-        raise ValueError("word length must be nonnegative")
-    table = _monotone_count_table(p.degree, r)
-    return table[r].get(p.images, 0)
-
-
-def canonical_minimal_factorization(p: Permutation) -> MonotoneFactorization:
-    """The unique strictly monotone transposition word of minimal length
-    multiplying to p.
-
-    Peels the largest moved point t and pairs it with its preimage; collecting
-    the peeled factors in reverse gives strictly increasing larger points and
-    exactly transposition_distance(p) factors.
-
-    >>> canonical_minimal_factorization(Permutation((2, 3, 1))).factors
-    ((1, 2), (2, 3))
-    """
-    w = p
-    peeled = []
-    while True:
-        moved = w.support()
-        if not moved:
-            break
-        t = moved[-1]
-        s = w.inverse()(t)
-        peeled.append((s, t))
-        w = w * Permutation.transposition(p.degree, s, t)
-    return MonotoneFactorization(p.degree, tuple(reversed(peeled)), strict=True)
-
-
-def support_window(p: Permutation, q: int) -> frozenset[int]:
-    """A set of exactly 2q points containing the support of p, completed with
-    the smallest unused points of 1..k.  Requires transposition_distance(p)
-    <= q and 2q <= k."""
-    k = p.degree
-    if 2 * q > k:
-        raise ValueError(f"window size 2*{q} exceeds degree {k}")
-    if q < p.transposition_distance():
-        raise ValueError(
-            f"window parameter {q} below transposition distance {p.transposition_distance()}"
-        )
-    window = set(p.support())
-    for x in range(1, k + 1):
-        if len(window) >= 2 * q:
-            break
-        window.add(x)
-    return frozenset(window)

@@ -1,14 +1,30 @@
 """Weingarten function of the unitary group at finite dimension.
 
-Three views of the same object, all exact where exactness is claimed:
+One engine, the characters of S_k, serves every exact quantity here.
+``wg_character_table(k)`` holds the data that does not depend on the
+dimension: for each partition lam of k its hook-length product H_lam, the
+contents j - i of its cells (i, j), and the character values chi_lam(mu) on
+every class mu, by Murnaghan-Nakayama.  From it:
 
-* ``wg_exact``: rational values obtained by inverting the convolution kernel
-  sigma -> n^(#cycles(sigma)) on the group algebra of S_k.  The kernel and the
-  unknown are class functions, so the k! x k! system collapses to one linear
-  system indexed by the integer partitions of k, solved over Fraction.
-* ``wg_series``: the alternating series n^-k * sum_r (-1)^r c_r(pi) / n^r,
-  where c_r counts weakly monotone transposition words, truncated at a chosen
-  order together with an explicit geometric bound on the discarded tail.
+* ``wg_class_table`` / ``wg_exact``: the exact Weingarten values, by the
+  character expansion (Collins-Sniady 2006)
+
+      wg(mu) = sum over lam with at most n rows of
+               chi_lam(mu) / (H_lam * C_lam(n)),   C_lam(n) = prod (n + content),
+
+  defined for every k >= 1 and n >= 1.  Below the degree the shapes with
+  more than n rows drop out, which is exactly what the entry moments of an
+  n-dimensional Haar unitary need.
+* ``monotone_counts`` / ``wg_series``: the alternating series
+  n^-k * sum_r (-1)^r c_r(mu) / n^r, where c_r counts the weakly monotone
+  transposition words of length r with product of type mu.  They are the
+  coefficients of the complete symmetric functions of the Jucys-Murphy
+  elements, so (Matsumoto-Novak 2013)
+
+      c_r(mu) = sum_lam chi_lam(mu) h_r(contents of lam) / H_lam,
+
+  evaluated in integers over the lcm of the H_lam.  The series is truncated
+  at a chosen order together with an explicit geometric bound on the tail.
 * ``wg_bound`` / ``wg_alt_bounds``: closed-form magnitude bounds.
 
 This module does no floating-point arithmetic except in ``wg_alt_bounds``,
@@ -17,25 +33,13 @@ whose first bound carries a fractional exponent.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .permutations import (
-    Permutation,
-    compose_images,
-    count_monotone_factorizations,
-    cycle_count_of_images,
-    cycle_type_of_images,
-    invert_images,
-)
-
-# The class-system solve is exact at any degree, but the one-off census of
-# S_k grows as k!; degree 8 (40320 elements) stays under a minute.
-MAX_DEGREE = 8
+from .permutations import Permutation
 
 
 def integer_partitions(k: int) -> tuple[tuple[int, ...], ...]:
@@ -67,81 +71,6 @@ def class_representative(cycle_type: tuple[int, ...], k: int) -> Permutation:
         images.extend(block)
         start += length
     return Permutation(tuple(images))
-
-
-@lru_cache(maxsize=None)
-def _orthogonality_counts(
-    k: int,
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
-    """For each (target class mu, product class lam), the census
-    {j: #{rho in S_k with j cycles and rho^-1 * rep(mu) in class lam}}.
-
-    One pass over S_k; independent of the dimension n, so the per-(k, n)
-    system assembly below is a cheap polynomial evaluation.
-    """
-    parts = integer_partitions(k)
-    reps = {mu: class_representative(mu, k).images for mu in parts}
-    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-    for rho in itertools.permutations(range(1, k + 1)):
-        inv = invert_images(rho)
-        j = cycle_count_of_images(rho)
-        for mu, rep in reps.items():
-            lam = cycle_type_of_images(compose_images(inv, rep))
-            bucket = counts.setdefault((mu, lam), {})
-            bucket[j] = bucket.get(j, 0) + 1
-    return counts
-
-
-def _solve_linear_rational(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Gaussian elimination over Fraction with first-nonzero pivoting."""
-    size = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
-@lru_cache(maxsize=None)
-def wg_class_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact Weingarten values at degree k and dimension n, one per cycle
-    type.  Defined by the orthogonality system
-
-        sum_rho n^(#cycles(rho)) * wg(type(rho^-1 * pi)) = [pi == id]
-
-    for every pi in S_k.  Requires n >= k, where the system is invertible.
-
-    Safe for concurrent reads once built; construction is memoized per (k, n).
-    """
-    if not 1 <= k <= MAX_DEGREE:
-        raise ValueError(f"degree {k} outside 1..{MAX_DEGREE}")
-    if n < k:
-        raise ValueError(f"dimension {n} below degree {k}: system is singular")
-    parts = integer_partitions(k)
-    counts = _orthogonality_counts(k)
-    matrix = [
-        [
-            Fraction(
-                sum(c * n**j for j, c in counts.get((mu, lam), {}).items())
-            )
-            for lam in parts
-        ]
-        for mu in parts
-    ]
-    identity_class = (1,) * k
-    rhs = [Fraction(1 if mu == identity_class else 0) for mu in parts]
-    solution = _solve_linear_rational(matrix, rhs)
-    return {lam: value for lam, value in zip(parts, solution)}
 
 
 def _beta_numbers(lam: tuple[int, ...]) -> list[int]:
@@ -177,41 +106,99 @@ def _irreducible_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class Irrep:
+    """The n-free data of the irreducible representation of S_k of shape
+    ``shape``: its hook-length product, the contents j - i of its cells
+    (i, j), and its character value on every class."""
+
+    shape: tuple[int, ...]
+    hook: int
+    contents: tuple[int, ...]
+    characters: dict[tuple[int, ...], int]
+
+
 @lru_cache(maxsize=None)
-def wg_character_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Weingarten values by character expansion, defined for every n >= 1:
+def wg_character_table(k: int) -> tuple[Irrep, ...]:
+    """One ``Irrep`` per partition of k, in ``integer_partitions`` order.
 
-        wg(mu) = sum over partitions lam of k with at most n rows of
-                 chi_lam(mu) / (hook_product(lam) * content_product(lam, n))
-
-    with content_product(lam, n) = prod over cells (i, j) of (n + j - i).
-    For n >= k this equals wg_class_table; for n < k it is the minimal-norm
-    solution of the (singular) orthogonality system, which is exactly what
-    entry moments of an n-dimensional Haar unitary require.
+    Built once per degree; safe for concurrent reads once built.
     """
-    if not 1 <= k <= MAX_DEGREE:
-        raise ValueError(f"degree {k} outside 1..{MAX_DEGREE}")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    table: dict[tuple[int, ...], Fraction] = {}
-    admissible = [lam for lam in integer_partitions(k) if len(lam) <= n]
-    weights = []
-    for lam in admissible:
+    if k < 1:
+        raise ValueError("degree must be at least 1")
+    classes = integer_partitions(k)
+    irreps = []
+    for lam in classes:
         hook = 1
-        content = 1
+        contents = []
         for i, row in enumerate(lam):
             for j in range(row):
-                arm = row - j - 1
                 leg = sum(1 for below in lam[i + 1 :] if below > j)
-                hook *= arm + leg + 1
-                content *= n + j - i
-        weights.append(Fraction(1, hook * content))
-    for mu in integer_partitions(k):
-        table[mu] = sum(
-            (w * _irreducible_character(lam, mu) for lam, w in zip(admissible, weights)),
-            Fraction(0),
+                hook *= row - j + leg
+                contents.append(j - i)
+        characters = {mu: _irreducible_character(lam, mu) for mu in classes}
+        irreps.append(Irrep(lam, hook, tuple(contents), characters))
+    return tuple(irreps)
+
+
+@lru_cache(maxsize=None)
+def wg_class_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact Weingarten values at degree k and dimension n, one per cycle
+    type, for every k >= 1 and n >= 1:
+
+        wg(mu) = sum over lam with at most n rows of
+                 chi_lam(mu) / (H_lam * prod over cells of (n + content)).
+
+    For n >= k this is the unique solution of the orthogonality system
+    sum_rho n^(#cycles(rho)) wg(type(rho^-1 pi)) = [pi == id]; below the
+    degree, where that system is singular, it is the Moore-Penrose
+    solution, which Haar entry moments at dimension n use.
+
+    Safe for concurrent reads once built; memoized per (k, n).
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    irreps = [irrep for irrep in wg_character_table(k) if len(irrep.shape) <= n]
+    denominators = [irrep.hook * math.prod(n + c for c in irrep.contents) for irrep in irreps]
+    common = math.lcm(*denominators)
+    return {
+        mu: Fraction(
+            sum(irrep.characters[mu] * (common // d) for irrep, d in zip(irreps, denominators)),
+            common,
         )
-    return table
+        for mu in integer_partitions(k)
+    }
+
+
+def monotone_counts(k: int, r_max: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """counts[mu][r] = c_r(mu), the number of words (s_1 t_1) ... (s_r t_r)
+    with s_j < t_j and the t_j weakly increasing that multiply to a given
+    permutation of cycle type mu, for r = 0 .. r_max.
+
+    c_r(mu) = sum_lam chi_lam(mu) h_r(contents of lam) / H_lam, summed in
+    integers over the lcm of the H_lam.  Zero whenever r is below the
+    transposition distance or has the wrong parity.
+
+    >>> monotone_counts(3, 3)[(2, 1)]
+    (0, 1, 0, 5)
+    """
+    if r_max < 0:
+        raise ValueError("word length must be nonnegative")
+    irreps = wg_character_table(k)
+    common = math.lcm(*(irrep.hook for irrep in irreps))
+    totals = {mu: [0] * (r_max + 1) for mu in integer_partitions(k)}
+    for irrep in irreps:
+        # complete homogeneous h_0 .. h_{r_max} of the contents
+        h = [1] + [0] * r_max
+        for c in irrep.contents:
+            for r in range(1, r_max + 1):
+                h[r] += c * h[r - 1]
+        scale = common // irrep.hook
+        for mu, row in totals.items():
+            weight = irrep.characters[mu] * scale
+            for r in range(r_max + 1):
+                row[r] += weight * h[r]
+    return {mu: tuple(t // common for t in row) for mu, row in totals.items()}
 
 
 def wg_exact(k: int, n: int, pi: Permutation) -> Fraction:
@@ -229,11 +216,10 @@ def wg_exact(k: int, n: int, pi: Permutation) -> Fraction:
 
 @dataclass(frozen=True)
 class WeingartenValue:
-    """A truncated series evaluation next to its exact counterpart.
+    """A truncated series evaluation next to the exact value.
 
     ``tail_bound`` bounds |exact - series_partial| and is None when no finite
-    geometric bound applies (k^2 >= 2n).  ``exact`` is None when the
-    orthogonality system is unavailable (n < k or k above MAX_DEGREE).
+    geometric bound applies (k^2 >= 2n).
     """
 
     k: int
@@ -242,7 +228,7 @@ class WeingartenValue:
     series_partial: Fraction
     r_max: int
     tail_bound: Fraction | None
-    exact: Fraction | None
+    exact: Fraction
 
 
 def wg_series(
@@ -251,7 +237,8 @@ def wg_series(
     """Truncated alternating series for the Weingarten value.
 
     series_partial = n^-k * sum_{r=0}^{r_max} (-1)^r c_r(pi) / n^r with c_r
-    the weakly monotone transposition word count.  The discarded tail obeys
+    the weakly monotone transposition word count (``monotone_counts``).  The
+    discarded tail obeys
     |tail| <= (2 / (n^k k^2)) * x^(r_max + 1) / (1 - x) with x = k^2 / (2n),
     finite exactly when k^2 < 2n.
 
@@ -267,12 +254,11 @@ def wg_series(
         r_max = k * k + 4
     if r_max < 0:
         raise ValueError("truncation order must be nonnegative")
-    partial = Fraction(0)
-    for r in range(r_max + 1):
-        c = count_monotone_factorizations(pi, r)
-        if c:
-            term = Fraction(c, n ** (k + r))
-            partial += -term if r % 2 else term
+    counts = monotone_counts(k, r_max)[pi.cycle_type()]
+    partial = Fraction(
+        sum((-1) ** r * c * n ** (r_max - r) for r, c in enumerate(counts)),
+        n ** (k + r_max),
+    )
     tail: Fraction | None = None
     x = Fraction(k * k, 2 * n)
     if k == 1:
@@ -280,10 +266,7 @@ def wg_series(
         tail = Fraction(0)
     elif x < 1:
         tail = Fraction(2, n**k * k * k) * x ** (r_max + 1) / (1 - x)
-    exact: Fraction | None = None
-    if k <= MAX_DEGREE and n >= k:
-        exact = wg_exact(k, n, pi)
-    return WeingartenValue(k, n, pi, partial, r_max, tail, exact)
+    return WeingartenValue(k, n, pi, partial, r_max, tail, wg_exact(k, n, pi))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,47 @@
+"""The benchmark's layer tracer names library functions by path
+(``perfbench/layers.py``).  A name that no longer resolves is reported as an
+absent hook and its per-layer metrics drop out of the result line, so every
+target must resolve, and the memoised Weingarten tables must keep the
+``cache_info`` their ``builds`` metric is read from."""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("layers")
+
+
+def resolve(target: str):
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_hook_target_resolves(layers):
+    for hook in layers.HOOKS:
+        assert callable(resolve(hook.target)), hook.target
+
+
+def test_weingarten_hooks_are_memoised(layers):
+    weingarten = [hook for hook in layers.HOOKS if hook.name.startswith("weingarten.")]
+    assert weingarten
+    for hook in weingarten:
+        assert hasattr(resolve(hook.target), "cache_info"), hook.target
+
+
+def test_declared_metrics_come_from_hooks(layers):
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert declared == [name for name, _, _ in layers.PER_LAYER]
+    hooked = {hook.name for hook in layers.HOOKS} | {"exact_moments.crosscheck", "trace"}
+    for name in declared:
+        assert name.rpartition(".")[0] in hooked, name

@@ -60,14 +60,23 @@ class TestWgCommand:
         assert "not applicable" in out
 
     def test_dimension_below_degree(self, capsys):
-        # the orthogonality system is singular at n < k; the character
-        # expansion gives the value entry_moment uses
-        from ringmoments.weingarten import wg_character_table
+        # the orthogonality system is singular at n < k; the table holds the
+        # value entry_moment uses
+        from ringmoments.weingarten import wg_class_table
 
         code, out, _ = run(capsys, "wg", "--k", "3", "--n", "2")
         assert code == 0
-        assert f"exact = {wg_character_table(3, 2)[(1, 1, 1)]}" in out
+        assert f"exact = {wg_class_table(3, 2)[(1, 1, 1)]}" in out
         assert "series tail bound = unbounded" in out
+
+    def test_degree_eight_at_the_default_series_order(self, capsys):
+        # r_max defaults to k^2 + 4 = 68
+        from ringmoments.weingarten import wg_class_table
+
+        code, out, _ = run(capsys, "wg", "--k", "8", "--n", "16")
+        assert code == 0
+        assert f"exact = {wg_class_table(8, 16)[(1,) * 8]}\n" in out
+        assert "series partial (r_max=68)" in out
 
     def test_bad_cycle_string(self, capsys):
         code, _, err = run(capsys, "wg", "--k", "2", "--n", "5", "--pi", "(1 9)")
@@ -402,6 +411,30 @@ class TestSpectrumExperimentCommand:
     def test_mistyped_value(self, capsys, tmp_path, payload, key):
         err = self._usage_error(capsys, tmp_path, payload)
         assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            (
+                {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replication": 2},
+                "replication",
+            ),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "high": 2.0},
+                 "n_grid": [4]},
+                "high",
+            ),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid"}, "n_grid": [4],
+                 "profile": "1,2"},
+                "profile",
+            ),
+            ({"experiment": "tail", "profile": "1,2", "deltas": [0.1], "n_grid": [4]}, "n_grid"),
+        ],
+    )
+    def test_unknown_key(self, capsys, tmp_path, payload, key):
+        err = self._usage_error(capsys, tmp_path, payload)
+        assert "unknown key" in err and repr(key) in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(

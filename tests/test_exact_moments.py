@@ -33,7 +33,7 @@ from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
 from ringmoments.montecarlo import estimate_trace_moment
 from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0
 from ringmoments.profiles import SingularProfile
-from ringmoments.weingarten import wg_character_table
+from ringmoments.weingarten import wg_class_table
 
 
 def brute_uu(k: int, profile: SingularProfile) -> Fraction:
@@ -130,9 +130,15 @@ class TestInnerAverages:
         with pytest.raises(ValueError):
             f_i((1,), 2)  # needs k >= 2
         with pytest.raises(ValueError):
-            f_i((1, 2, 3), 1)  # needs n >= k - 1
+            f_i((1, 2, 3), 1)  # indices outside 1..n
         with pytest.raises(ValueError):
-            g_i((1, 2, 3), 2)  # needs n >= k
+            g_i((1, 2, 3), 2)
+
+    def test_defined_below_the_degree(self):
+        # a scalar unitary: every word averages to 1, one coset each
+        assert f_i((1, 1, 1, 1), 1) == 1
+        assert g_i((1, 1, 1), 1) == 1
+        assert f_paths((1, 2, 1, 2, 1), 2)[0] == f_paths((1, 2, 1, 2, 1), 2)[1]
 
     def test_g_at_order_one(self):
         for n in (1, 2, 4):
@@ -410,7 +416,7 @@ class TestHookSums:
         [(3, 1, (3,)), (3, 2, (1, 2)), (4, 2, (Fraction(1, 2), 3)), (4, 3, (1, 2, 3))],
     )
     def test_below_the_census_domain_matches_brute(self, k, n, values):
-        # the brute double sums reach entry_moment's character table at n < k
+        # the brute double sums reach the Weingarten table below the degree
         profile = SingularProfile.from_values([Fraction(v) for v in values])
         assert trace_moment_sq(k, profile) == brute_sq(k, profile)
         if n < k - 1:
@@ -418,8 +424,8 @@ class TestHookSums:
 
     def test_census_identity_below_the_degree(self):
         # aut(lam) S_lam(n) == sum_r a_r(n) C(l(lam) - 1, r) also holds when
-        # the census is weighed by the character-expansion table at n below
-        # the degree, where f_i and g_i are not defined
+        # the census is weighed by the Weingarten table at n below the
+        # degree; written out here independently of _certify
         import math
         from collections import Counter
 
@@ -428,7 +434,7 @@ class TestHookSums:
             for k in orders:
                 degree = k - 1 if statistic == "uu" else k
                 for n in range(1, degree):
-                    table = wg_character_table(degree, n)
+                    table = wg_class_table(degree, n)
                     groups = {}
                     for pattern in equality_patterns(k):
                         if max(pattern) > n:
@@ -487,6 +493,43 @@ class TestHookSums:
         assert len(calls) == 15
         trace_moment_uu(9, ramp(3))  # beyond the census orders: no census
         assert len(calls) == 15
+
+    def test_certified_below_the_degree(self, monkeypatch):
+        # uu at k = 6 weighs degree-5 tables; n = 3 lies below that degree
+        calls = []
+        real = exact_moments.f_paths
+
+        def counted(indices, n):
+            calls.append(indices)
+            return real(indices, n)
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "f_paths", counted)
+        try:
+            trace_moment_uu(6, ramp(3))
+            # the patterns of 6 positions with at most 3 blocks:
+            # S(6, 1) + S(6, 2) + S(6, 3) = 1 + 31 + 90
+            assert len(calls) == 122
+            assert all(max(pattern) <= 3 for pattern in calls)
+        finally:
+            exact_moments._certify.cache_clear()
+
+    def test_mutated_coefficient_raises_below_the_degree(self, monkeypatch):
+        real = exact_moments._hook_coefficients
+
+        def skewed(statistic, k, n):
+            nums, den = real(statistic, k, n)
+            return (nums[0] + 1,) + nums[1:], den
+
+        exact_moments._certify.cache_clear()
+        monkeypatch.setattr(exact_moments, "_hook_coefficients", skewed)
+        try:
+            with pytest.raises(CrossCheckError, match=r"uu .*k=6, n=3"):
+                trace_moment_uu(6, ramp(3))
+            with pytest.raises(CrossCheckError, match=r"sq .*k=5, n=2"):
+                trace_moment_sq(5, ramp(2))
+        finally:
+            exact_moments._certify.cache_clear()
 
     def test_mutated_coefficient_raises(self, monkeypatch):
         real = exact_moments._hook_coefficients

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmoments.haar_moments import (
+    MAX_WORD_LENGTH,
     MomentSpec,
     census_value,
     entry_census,
     entry_moment,
     mc_entry_moment,
 )
-from ringmoments.weingarten import MAX_DEGREE, wg_character_table, wg_class_table
+from ringmoments.weingarten import wg_class_table
 
 
 def moment(n, rows, cols, conj_rows, conj_cols):
@@ -86,7 +87,7 @@ class TestStructuralZeros:
             MomentSpec(2, (0,), (1,), (0,), (1,))
 
     def test_degree_ceiling(self):
-        deep = tuple([1] * (MAX_DEGREE + 1))
+        deep = tuple([1] * (MAX_WORD_LENGTH + 1))
         with pytest.raises(ValueError):
             entry_moment(MomentSpec(1, deep, deep, deep, deep))
 
@@ -110,8 +111,7 @@ class TestEntryCensus:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_moment_is_census_dot_table(self, n):
         spec = MomentSpec(n, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
-        table = wg_class_table(3, n) if n >= 3 else wg_character_table(3, n)
-        assert entry_moment(spec) == census_value(entry_census(spec), table)
+        assert entry_moment(spec) == census_value(entry_census(spec), wg_class_table(3, n))
 
 
 class TestUnitarityIdentities:

@@ -1,33 +1,37 @@
-"""Permutation layer: algebra, cycle structure, monotone factorizations.
+"""Permutation layer: algebra, cycle structure, and the monotone
+transposition word counts that the Weingarten series is built from.
 
 Oracles used here:
 * BFS over right-multiplication by transpositions for the distance to the
   identity (independent of the cycle-count shortcut).
 * direct enumeration of transposition words with weakly increasing larger
-  legs for the factorization counts (independent of the DP).
+  legs for the word counts (independent of the character formula in
+  ``weingarten.monotone_counts``).
 """
 
 import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from ringmoments.permutations import (
     IndexTuple,
-    MonotoneFactorization,
     Permutation,
     all_permutations,
-    canonical_minimal_factorization,
     compose_images,
     coset_representatives,
-    count_monotone_factorizations,
     cycle_count_of_images,
     enumerate_sk0,
     invert_images,
     stabilizer,
-    support_window,
 )
+from ringmoments.weingarten import monotone_counts
+
+
+def count_monotone_factorizations(p: Permutation, r: int) -> int:
+    """Words of length r with weakly increasing larger legs multiplying to p."""
+    return monotone_counts(p.degree, r)[p.cycle_type()][r]
 
 
 def bfs_distance(p: Permutation) -> int:
@@ -124,14 +128,6 @@ class TestAlgebra:
         assert invert_images((2, 3, 1)) == (3, 1, 2)
         assert cycle_count_of_images((2, 3, 1)) == 1
 
-    def test_restriction_and_extension(self):
-        p = Permutation.from_cycle_string("(1 2)", 4)
-        assert p.restricted_to_prefix(3).images == (2, 1, 3)
-        with pytest.raises(ValueError):
-            Permutation.full_cycle(4).restricted_to_prefix(3)
-        q = Permutation.transposition(2, 1, 2).extended_to(4)
-        assert q.images == (2, 1, 3, 4)
-
 
 class TestCycleStructure:
     @pytest.mark.parametrize("k", range(1, 7))
@@ -196,42 +192,6 @@ class TestMonotoneCounts:
         for k in range(2, 6):
             for p in all_permutations(k):
                 assert count_monotone_factorizations(p, p.transposition_distance()) >= 1
-
-
-class TestCanonicalFactorization:
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_canonical_word_reproduces_permutation(self, k):
-        for p in all_permutations(k):
-            fact = canonical_minimal_factorization(p)
-            assert isinstance(fact, MonotoneFactorization)
-            assert fact.product() == p
-            assert len(fact.factors) == p.transposition_distance()
-
-    def test_canonical_word_strictly_monotone(self):
-        # larger legs strictly increase, hence at most one factor per leg value
-        for p in all_permutations(5):
-            fact = canonical_minimal_factorization(p)
-            ts = [t for _, t in fact.factors]
-            assert all(ts[a] < ts[a + 1] for a in range(len(ts) - 1))
-            assert fact.strict
-
-    def test_support_window(self):
-        for k in (3, 4, 5):
-            for p in all_permutations(k):
-                d = p.transposition_distance()
-                for q in range(d, (k // 2) + 1):
-                    if 2 * q > k:
-                        continue
-                    window = support_window(p, q)
-                    assert len(window) == 2 * q
-                    assert set(p.support()) <= window
-
-    def test_support_window_rejects_infeasible(self):
-        p = Permutation.full_cycle(4)  # distance 3
-        with pytest.raises(ValueError):
-            support_window(p, 1)
-        with pytest.raises(ValueError):
-            support_window(Permutation.identity(4), 3)  # 2q > k
 
 
 class TestGroupEnumeration:
@@ -312,10 +272,3 @@ class TestProperties:
         assert (p * q).transposition_distance() <= (
             p.transposition_distance() + q.transposition_distance()
         )
-
-    @settings(max_examples=40)
-    @given(permutations(max_k=6))
-    def test_canonical_factorization_minimal(self, p):
-        fact = canonical_minimal_factorization(p)
-        assert fact.product() == p
-        assert len(fact.factors) == p.transposition_distance()

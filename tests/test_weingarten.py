@@ -1,11 +1,19 @@
 """Weingarten table: exact values, series, and magnitude envelopes.
 
-Oracle used here: the full k! x k! Gram matrix G[p, q] = n^{#cycles(p q^-1)}
-inverted over exact rationals with sympy.  Its identity row is the Weingarten
-function, independent of the class-function linear system in the package.
+Oracles used here, none of which uses the characters of S_k:
+* the full k! x k! Gram matrix G[p, q] = n^{#cycles(p q^-1)} inverted over
+  exact rationals with sympy (its pseudo-inverse below the degree); its
+  identity row is the Weingarten function;
+* the S_k census and Gaussian solve of the class orthogonality system, and
+  the dynamic program over monotone transposition words
+  (``weingarten_oracles``);
+* the class sums sum_mu |C_mu| wg(mu) = 1 / prod_{j<k} (n + j) and
+  sum_mu |C_mu| c_r(mu) = h_r(1, ..., k-1).
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from ringmoments.permutations import Permutation, all_permutations
 from ringmoments.weingarten import (
-    MAX_DEGREE,
     class_representative,
     integer_partitions,
+    monotone_counts,
     wg_alt_bounds,
     wg_bound,
     wg_character_table,
@@ -24,17 +32,19 @@ from ringmoments.weingarten import (
     wg_exact,
     wg_series,
 )
+from weingarten_oracles import census_class_table, monotone_count_table
 
 
 def gram_inverse_row(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Weingarten values by brute inversion of the moment Gram matrix."""
+    """Weingarten values by brute inversion of the moment Gram matrix; below
+    the degree, where it is singular, by its Moore-Penrose pseudo-inverse."""
     perms = list(all_permutations(k))
     index = {p: a for a, p in enumerate(perms)}
     g = sympy.zeros(len(perms), len(perms))
     for a, p in enumerate(perms):
         for b, q in enumerate(perms):
             g[a, b] = sympy.Integer(n) ** (p * q.inverse()).num_cycles()
-    inv = g.inv()
+    inv = g.inv() if n >= k else g.pinv()
     ident = index[Permutation.identity(k)]
     out = {}
     for b, q in enumerate(perms):
@@ -43,6 +53,12 @@ def gram_inverse_row(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
         out.setdefault(q.cycle_type(), val)
         assert out[q.cycle_type()] == val, "inverse row not a class function"
     return out
+
+
+def class_size(mu: tuple[int, ...]) -> int:
+    """|C_mu| = k! / prod_i i^(m_i) m_i!."""
+    z = math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+    return math.factorial(sum(mu)) // z
 
 
 class TestExactTable:
@@ -93,12 +109,24 @@ class TestExactTable:
         with pytest.raises(ValueError):
             wg_class_table(0, 5)
         with pytest.raises(ValueError):
-            wg_class_table(MAX_DEGREE + 1, 50)
-        with pytest.raises(ValueError):
-            wg_class_table(3, 2)  # n below degree: Gram system singular
+            wg_class_table(3, 0)
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (3, 1), (3, 2)])
+    def test_below_the_degree_is_the_gram_pseudo_inverse(self, k, n):
+        # the Gram system is singular at n < k; the table is its
+        # Moore-Penrose pseudo-inverse, the one Haar moments at n use
+        assert wg_class_table(k, n) == gram_inverse_row(k, n)
+
+    def test_no_degree_ceiling(self):
+        # k = 9 is past what an S_k census enumerates in reasonable time
+        table = wg_class_table(9, 50)
+        assert sum(class_size(mu) * v for mu, v in table.items()) == Fraction(
+            1, math.prod(range(50, 59))
+        )
+        assert table[(1,) * 9] > 0 > table[(2,) + (1,) * 7]
 
     def test_high_degree_smoke(self):
-        # k = 6 solves a 11-class system; spot the sign pattern (-1)^{distance}
+        # k = 6 has 11 classes; spot the sign pattern (-1)^{distance}
         table = wg_class_table(6, 9)
         for lam, value in table.items():
             distance = 6 - len(lam)
@@ -108,14 +136,65 @@ class TestExactTable:
 class TestCharacterTable:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_equals_class_table_from_the_degree_up(self, k):
+        # against the S_k census and Gaussian solve of the class system
         for n in range(k, k + 6):
-            assert wg_character_table(k, n) == wg_class_table(k, n), (k, n)
+            assert wg_class_table(k, n) == census_class_table(k, n), (k, n)
 
     def test_defined_below_the_degree(self):
         # at n = 1 < k = 2 the class system is singular; only the one-row
         # shape (2) survives, with weight 1 / (hook 2 * content 1 * 2), and
         # the four matching pairs of |u_11|^4 sum to |u|^4 = 1
-        assert wg_character_table(2, 1) == {(2,): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+        assert wg_class_table(2, 1) == {(2,): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_characters_are_orthonormal(self, k):
+        # chi_lam(1^k) = k! / H_lam, and the class-weighted rows are
+        # orthonormal: sum_mu |C_mu| chi_lam(mu) chi_nu(mu) = k! [lam == nu]
+        irreps = wg_character_table(k)
+        assert [irrep.shape for irrep in irreps] == list(integer_partitions(k))
+        for a in irreps:
+            assert a.characters[(1,) * k] * a.hook == math.factorial(k)
+            assert sorted(a.contents) == sorted(
+                j - i for i, row in enumerate(a.shape) for j in range(row)
+            )
+            for b in irreps:
+                inner = sum(
+                    class_size(mu) * a.characters[mu] * b.characters[mu]
+                    for mu in integer_partitions(k)
+                )
+                assert inner == (math.factorial(k) if a is b else 0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_class_sum_is_the_rising_factorial(self, k):
+        # sum over S_k of wg = E|u_11|^(2k) / k! = 1 / (n (n+1) ... (n+k-1)),
+        # at every n, below the degree too
+        for n in sorted({1, 2, max(k - 1, 1), k, 2 * k}):
+            table = wg_class_table(k, n)
+            total = sum(class_size(mu) * value for mu, value in table.items())
+            assert total == Fraction(1, math.prod(range(n, n + k))), (k, n)
+
+
+class TestMonotoneCountEngine:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_class_sum_is_the_complete_symmetric_polynomial(self, k):
+        # all words of length r: t_1 <= ... <= t_r and s_j < t_j, so
+        # sum_mu |C_mu| c_r(mu) = h_r(1, ..., k-1)
+        r_max = k * k + 4
+        h = [1] + [0] * r_max
+        for x in range(1, k):
+            for r in range(1, r_max + 1):
+                h[r] += x * h[r - 1]
+        counts = monotone_counts(k, r_max)
+        for r in range(r_max + 1):
+            assert sum(class_size(mu) * row[r] for mu, row in counts.items()) == h[r], (k, r)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_the_word_dp(self, k):
+        levels = monotone_count_table(k, 8)
+        counts = monotone_counts(k, 8)
+        for mu, row in counts.items():
+            rep = class_representative(mu, k).images
+            assert list(row) == [level.get(rep, 0) for level in levels], (k, mu)
 
 
 class TestPartitions:
