@@ -66,9 +66,19 @@ independent routes:
 
 * route A counts the matching pairs of the entry moments of representatives
   of index reorderings that leave the tuple fixed (one representative per
-  stabilizer coset),
+  stabilizer coset), each census counted per coset of the matchings
+  (``haar_moments.entry_census``),
 * route B pushes the delta constraints through the Weingarten sum and counts
-  the conjugation-and-transposition dressed words it lands on.
+  the conjugation-and-transposition dressed words
+  w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
+  stabilizer element, d the dressing, phi a reordering).  Cycle type is a
+  class function, and conjugating by phi turns w into gamma * beta with
+  gamma = phi c^-1 phi^-1 and beta = alpha^-1 c d.  The census of
+  gamma * beta over the pattern-free set of gamma is memoised per beta, and
+  a pattern's census is the sum over its multiset of beta.  The uu words
+  must fix the endpoint k; every uu reordering phi fixes k, so w fixes k
+  exactly when gamma * beta does, and the check on the conjugates is the
+  same check.  Route A never uses this fold.
 
 The two censuses are compared as integer vectors, which checks the
 derivations at every n at once.  A disagreement raises ``CrossCheckError``;
@@ -94,7 +104,6 @@ the blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -106,13 +115,13 @@ from .haar_moments import MomentSpec, census_value, entry_census
 from .permutations import (
     IndexTuple,
     Permutation,
-    all_permutations,
     compose_images,
-    coset_representatives,
-    cycle_type_census,
+    coset_representative_images,
+    cycle_type_of_product,
     enumerate_sk0,
     invert_images,
-    stabilizer,
+    stabilizer_images,
+    universe_images,
 )
 from .profiles import SingularProfile
 from .weingarten import wg_class_table
@@ -138,13 +147,19 @@ def _as_index_tuple(indices, n: int) -> IndexTuple:
     return IndexTuple(tuple(indices), n)
 
 
-def _pattern_stabilizer(statistic: Statistic, pattern: tuple[int, ...]) -> list[Permutation]:
-    """Index symmetries of the pattern: endpoint-fixing ones for uu, all of
-    S_k for sq."""
+@lru_cache(maxsize=None)
+def _universe(statistic: Statistic, k: int) -> tuple[tuple[int, ...], ...]:
+    """The reorderings a statistic runs over, as image tuples: the
+    endpoint-fixing ones for uu, all of S_k for sq."""
     if statistic not in ("uu", "sq"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    universe = "sk0" if statistic == "uu" else "sk"
-    return stabilizer(IndexTuple(pattern, max(pattern)), universe)
+    return tuple(universe_images(k, "sk0" if statistic == "uu" else "sk"))
+
+
+def _pattern_stabilizer(statistic: Statistic, pattern: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Index symmetries of the pattern inside the statistic's universe, as
+    image tuples."""
+    return stabilizer_images(pattern, _universe(statistic, len(pattern)))
 
 
 def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
@@ -161,9 +176,8 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         u[i_1, i_2] u[i_2, i_3] ... u[i_k, i_1]
         * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k)}, i_{phi(1)}]).
     """
-    k = len(pattern)
+    universe = _universe(statistic, len(pattern))
     stab = _pattern_stabilizer(statistic, pattern)
-    universe = list(enumerate_sk0(k) if statistic == "uu" else all_permutations(k))
 
     def ends(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # row and column indices of u[w_1, w_2] u[w_2, w_3] ..., open for uu,
@@ -173,11 +187,43 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         return word, word[1:] + word[:1]
 
     census: Counter = Counter()
-    for phi in coset_representatives(universe, stab):
-        permuted = tuple(pattern[x - 1] for x in phi.images)
+    for phi in coset_representative_images(universe, stab):
+        permuted = tuple(pattern[x - 1] for x in phi)
         spec = MomentSpec(max(pattern), *ends(pattern), *ends(permuted))
         census.update(entry_census(spec))
     return census
+
+
+@lru_cache(maxsize=None)
+def _cycle_conjugates(statistic: Statistic, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """phi c^-1 phi^-1 over the phi of the statistic's universe, with c the
+    full cycle 1 -> 2 -> ... -> k -> 1: (conjugate, multiplicity) pairs.
+    Pattern-free; sq meets each k-cycle k times, uu each conjugate once."""
+    c_inv = (k,) + tuple(range(1, k))
+    return tuple(
+        Counter(
+            compose_images(compose_images(phi, c_inv), invert_images(phi))
+            for phi in _universe(statistic, k)
+        ).items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _folded_census(
+    statistic: Statistic, k: int, beta: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """The census of gamma * beta over the conjugates gamma of
+    ``_cycle_conjugates``, as (cycle type, count) pairs; for uu, cycle types
+    on {1..k-1}, and None when some gamma * beta moves the point k."""
+    census: Counter = Counter()
+    for gamma, multiplicity in _cycle_conjugates(statistic, k):
+        lam = cycle_type_of_product(gamma, beta)
+        if statistic == "uu":
+            if gamma[beta[k - 1] - 1] != k:
+                return None
+            lam = lam[:-1]  # drop the fixed point k
+        census[lam] += multiplicity
+    return tuple(census.items())
 
 
 def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
@@ -196,38 +242,49 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     before the shift by c.
 
     sq: over phi in S_k, the word c^-1 phi^-1 alpha^-1 c phi.
+
+    Folded by conjugacy.  Writing d for the dressing ((l2 k-1) (1 l1) for
+    uu, the identity for sq) and beta = alpha^-1 c d, the word is
+    phi^-1 (phi c^-1 phi^-1 beta) phi, so it has the cycle type of
+    gamma * beta with gamma = phi c^-1 phi^-1.  Only beta depends on the
+    pattern, so the census is the sum over the multiset of beta of the
+    memoised census of gamma * beta over the conjugates gamma
+    (``_folded_census``).  For uu every phi fixes k, so the word fixes k
+    exactly when gamma * beta does: the endpoint check on the conjugates is
+    the check on the words, and so is the restriction to {1..k-1}.
     """
     k = len(pattern)
-    alpha_invs = [invert_images(a.images) for a in _pattern_stabilizer(statistic, pattern)]
-    c = Permutation.full_cycle(k).images
-    c_inv = invert_images(c)
+    c = tuple(range(2, k + 1)) + (1,)
     if statistic == "sq":
-        phis = list(itertools.permutations(range(1, k + 1)))
-        dressings = [tuple(range(1, k + 1))]  # sq words carry no dressing
+        c_dressed = [c]  # sq words carry no dressing
     else:
-        phis = [(1,) + mid + (k,) for mid in itertools.permutations(range(2, k))]
-        dressings = [
-            (
-                Permutation.transposition(k, l2, k - 1)
-                * Permutation.transposition(k, 1, l1)
-            ).images
+        c_dressed = [
+            compose_images(c, compose_images(_swap(k, l2, k - 1), _swap(k, 1, l1)))
             for l1 in range(1, k)
             if pattern[l1 - 1] == pattern[0]
             for l2 in range(1, k)
             if pattern[l2] == pattern[k - 1]
         ]
-    words: Counter = Counter()
-    for phi in phis:
-        head = compose_images(c_inv, invert_images(phi))
-        heads = [compose_images(head, alpha_inv) for alpha_inv in alpha_invs]
-        for dressing in dressings:
-            tail = compose_images(c, compose_images(dressing, phi))
-            words.update(compose_images(h, tail) for h in heads)
-    if statistic == "sq":
-        return cycle_type_census(words)
-    if any(word[k - 1] != k for word in words):
-        raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
-    return cycle_type_census(Counter({word[: k - 1]: m for word, m in words.items()}))
+    betas = Counter(
+        compose_images(invert_images(alpha), tail)
+        for alpha in _pattern_stabilizer(statistic, pattern)
+        for tail in c_dressed
+    )
+    census: Counter = Counter()
+    for beta, multiplicity in betas.items():
+        folded = _folded_census(statistic, k, beta)
+        if folded is None:
+            raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
+        for lam, count in folded:
+            census[lam] += multiplicity * count
+    return census
+
+
+def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
+    """Images of the transposition (a b) of degree k; the identity if a == b."""
+    images = list(range(1, k + 1))
+    images[a - 1], images[b - 1] = b, a
+    return tuple(images)
 
 
 @lru_cache(maxsize=None)
@@ -669,7 +726,7 @@ def composition_census(k: int, profile: SingularProfile) -> CensusReport:
     l0 = Fraction(0)
     l1 = Fraction(0)
     for pattern, sizes, weight in _weighted_patterns(k, profile):
-        stab_size = len(stabilizer(IndexTuple(pattern, len(sizes)), "sk0"))
+        stab_size = len(_pattern_stabilizer("uu", pattern))
         l0 += weight * stab_size
         l1 += weight * math.prod(math.factorial(s) for s in sizes)
 

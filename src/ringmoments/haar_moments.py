@@ -12,17 +12,27 @@ equals the double sum over permutations sigma, tau in S_k of
 with wg the exact Weingarten value at degree k and dimension n.  Unbalanced
 words (row or column multisets that disagree) average to zero.
 
-The delta constraints are resolved by value classes: a matching permutation
-decomposes into independent bijections between the positions holding each
-value, so only genuine matchings are enumerated.  The matching pairs are
-counted by the cycle type of sigma^-1 * tau (``entry_census``); that census
-depends on the index equalities alone, and the moment is the census weighed
-by the table at n.
+The matching pairs are counted by the cycle type of sigma^-1 * tau
+(``entry_census``); that census depends on the index equalities alone, and
+the moment is the census weighed by the table at n.
+
+The matchings are cosets.  With sigma_0 one row matching and Y the Young
+subgroup of the permutations that preserve the conj_rows values, the row
+matchings are the sigma = y * sigma_0 with y in Y; likewise the column
+matchings are the tau = z * tau_0 with z in the Young subgroup Z of the
+conj_cols values.  Conjugating by sigma_0, sigma^-1 * tau has the cycle
+type of y^-1 * z * rho with rho = tau_0 * sigma_0^-1, and each product
+y^-1 * z arises from exactly |Y n Z| pairs (y, z).  So the census runs over
+one representative x of each left coset x (Y n Z) in Y (the x increasing on
+every block of positions that agree in both conj_rows and conj_cols) times
+all of Z, with the weight |Y n Z|: |Y| |Z| / |Y n Z| products instead of
+|Y| |Z|, and k! instead of (k!)^2 for a word with every index equal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,11 +41,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .montecarlo import MomentEstimate, _finish_estimate, haar_batch, rng_stream
-from .permutations import compose_images, cycle_type_census, invert_images
+from .permutations import compose_images, cycle_type_of_product, invert_images
 from .weingarten import wg_class_table
 
-# The matchings are enumerated one by one: a word of length k with every
-# index equal has k! of them on each side, so the census grows as (k!)^2.
+# The census enumerates |Y| |Z| / |Y n Z| products (see the module
+# docstring), at most k! of them: 40320 for a word of length 8 with every
+# index equal.
 MAX_WORD_LENGTH = 8
 
 
@@ -65,25 +76,49 @@ class MomentSpec:
         return len(self.rows)
 
 
-def _matchings(src: Sequence[int], dst: Sequence[int]) -> list[tuple[int, ...]]:
-    """All permutations sigma (as image tuples) with src[l] == dst[sigma(l)]
-    for every position l; empty when the multisets disagree."""
-    if Counter(src) != Counter(dst):
-        return []
-    src_positions: dict[int, list[int]] = {}
-    dst_positions: dict[int, list[int]] = {}
-    for pos, v in enumerate(src, 1):
-        src_positions.setdefault(v, []).append(pos)
-    for pos, v in enumerate(dst, 1):
-        dst_positions.setdefault(v, []).append(pos)
-    values = sorted(src_positions)
-    per_value = [itertools.permutations(dst_positions[v]) for v in values]
+def _positions(labels: Sequence) -> dict:
+    """label -> the positions (1-based, ascending) holding it."""
+    positions: dict = {}
+    for pos, v in enumerate(labels, 1):
+        positions.setdefault(v, []).append(pos)
+    return positions
+
+
+def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | None:
+    """One permutation sigma with src[l] == dst[sigma(l)] for every position
+    l (the j-th occurrence of each value goes to its j-th occurrence), or
+    None when the multisets disagree."""
+    if sorted(src) != sorted(dst):
+        return None
+    targets = _positions(dst)
+    for positions in targets.values():
+        positions.reverse()
+    return tuple(targets[v].pop() for v in src)
+
+
+def _young_subgroup(labels: Sequence, fine: Sequence | None = None) -> list[tuple[int, ...]]:
+    """Every permutation p (as image tuple) with labels[p(m)] == labels[m].
+
+    With ``fine`` labels, only the p increasing on each block of positions
+    with equal fine labels: one p per left coset p W, where W is the
+    subgroup that preserves both labellings."""
+    blocks = [block for block in _positions(labels).values() if len(block) > 1]
+    choices = []
+    for block in blocks:
+        arrangements = itertools.permutations(block)
+        if fine is not None:
+            runs = _positions([fine[pos - 1] for pos in block]).values()
+            pairs = [(a - 1, b - 1) for run in runs for a, b in zip(run, run[1:])]
+            if pairs:
+                arrangements = [t for t in arrangements if all(t[a] < t[b] for a, b in pairs)]
+        choices.append(arrangements)
+    identity = list(range(1, len(labels) + 1))
     out = []
-    for combo in itertools.product(*per_value):
-        images = [0] * len(src)
-        for v, targets in zip(values, combo):
-            for src_pos, dst_pos in zip(src_positions[v], targets):
-                images[src_pos - 1] = dst_pos
+    for combo in itertools.product(*choices):
+        images = identity[:]
+        for block, targets in zip(blocks, combo):
+            for src, dst in zip(block, targets):
+                images[src - 1] = dst
         out.append(tuple(images))
     return out
 
@@ -92,17 +127,29 @@ def entry_census(spec: MomentSpec) -> Counter:
     """The Weingarten census of ``spec``: for each cycle type, how many
     matching pairs (sigma, tau) have sigma^-1 * tau of that type.
 
-    The census depends on the index equalities alone, never on the dimension
-    ``spec.n``; it is empty when the row or column multisets disagree.
+    Counted per coset (see the module docstring): one product per left
+    coset representative of Y n Z in Y and element of Z, each weighted
+    |Y n Z|.  The census depends on the index equalities alone, never on
+    the dimension ``spec.n``; it is empty when the row or column multisets
+    disagree.
     """
-    sigmas = _matchings(spec.rows, spec.conj_rows)
-    if not sigmas:
+    sigma_0 = _one_matching(spec.rows, spec.conj_rows)
+    tau_0 = _one_matching(spec.cols, spec.conj_cols)
+    if sigma_0 is None or tau_0 is None:
         return Counter()
-    taus = _matchings(spec.cols, spec.conj_cols)
-    products = Counter(
-        compose_images(inv, tau) for inv in map(invert_images, sigmas) for tau in taus
+    rho = compose_images(tau_0, invert_images(sigma_0))
+    both = list(zip(spec.conj_rows, spec.conj_cols))
+    weight = math.prod(math.factorial(len(block)) for block in _positions(both).values())
+    z_rhos = [compose_images(z, rho) for z in _young_subgroup(spec.conj_cols)]
+    census = Counter(
+        cycle_type_of_product(x, z_rho)
+        for x in _young_subgroup(spec.conj_rows, both)
+        for z_rho in z_rhos
     )
-    return cycle_type_census(products)
+    if weight > 1:
+        for lam in census:
+            census[lam] *= weight
+    return census
 
 
 def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:

@@ -14,14 +14,13 @@ the rightmost factor is applied first.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Sequence
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """One-line images of p after q, i.e. x -> p(q(x)).  No validation."""
-    return tuple(p[y - 1] for y in q)
+    return tuple([p[y - 1] for y in q])
 
 
 def invert_images(p: Sequence[int]) -> tuple[int, ...]:
@@ -65,13 +64,23 @@ def cycle_type_of_images(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def cycle_type_census(images: Mapping[tuple[int, ...], int]) -> Counter:
-    """Fold a multiset of permutations (image tuple -> multiplicity) into
-    cycle type -> multiplicity.  No validation."""
-    census: Counter = Counter()
-    for p, count in images.items():
-        census[cycle_type_of_images(p)] += count
-    return census
+def cycle_type_of_product(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type of p * q (q acts first), without forming the product.
+    No validation."""
+    seen = [False] * (len(q) + 1)
+    lengths = []
+    for start in range(1, len(q) + 1):
+        if seen[start]:
+            continue
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = p[q[x - 1] - 1]
+        lengths.append(size)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 @dataclass(frozen=True)
@@ -224,10 +233,8 @@ def enumerate_sk0(k: int) -> Iterator[Permutation]:
     >>> [str(p) for p in enumerate_sk0(4)]
     ['id', '(2 3)']
     """
-    if k < 2:
-        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
-    for mid in itertools.permutations(range(2, k)):
-        yield Permutation((1,) + mid + (k,))
+    for images in universe_images(k, "sk0"):
+        yield Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -263,49 +270,66 @@ class IndexTuple:
         return tuple(out)
 
 
+def universe_images(k: int, universe: Literal["sk", "sk0"]) -> list[tuple[int, ...]]:
+    """Image tuples of S_k ("sk") or of its endpoint-fixing subgroup
+    ("sk0"), in lexicographic order."""
+    if universe == "sk":
+        return list(itertools.permutations(range(1, k + 1)))
+    if universe != "sk0":
+        raise ValueError(f"unknown universe {universe!r}")
+    if k < 2:
+        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
+    return [(1,) + mid + (k,) for mid in itertools.permutations(range(2, k))]
+
+
+def stabilizer_images(
+    indices: Sequence[int], pool: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The image tuples a in ``pool`` with indices[a(l)] == indices[l] for
+    every position l."""
+    positions = range(len(indices))
+    return [a for a in pool if all(indices[a[l] - 1] == indices[l] for l in positions)]
+
+
 def stabilizer(i: IndexTuple, universe: Literal["sk", "sk0"]) -> list[Permutation]:
     """All permutations a in the chosen universe with i_{a(l)} == i_l for every l.
 
     ``universe`` selects S_k ("sk") or the endpoint-fixing subgroup ("sk0").
     """
-    if universe == "sk":
-        pool: Iterator[Permutation] = all_permutations(i.k)
-    elif universe == "sk0":
-        pool = enumerate_sk0(i.k)
-    else:
-        raise ValueError(f"unknown universe {universe!r}")
-    idx = i.indices
-    return [
-        a for a in pool
-        if all(idx[a.images[l] - 1] == idx[l] for l in range(i.k))
-    ]
+    pool = universe_images(i.k, universe)
+    return [Permutation(a) for a in stabilizer_images(i.indices, pool)]
+
+
+def coset_representative_images(
+    universe: Sequence[tuple[int, ...]], stab: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """One representative per orbit of the left action a . phi = a * phi of
+    ``stab`` on ``universe``, all as image tuples.  ``stab`` must be a
+    subgroup contained in ``universe``; closure is checked."""
+    stab_set = set(stab)
+    if not stab or tuple(range(1, len(stab[0]) + 1)) not in stab_set:
+        raise ValueError("stabilizer must contain the identity")
+    if not stab_set <= set(universe):
+        raise ValueError("stabilizer is not contained in the universe")
+    for a in stab:
+        for b in stab:
+            if compose_images(a, b) not in stab_set:
+                raise ValueError("stabilizer is not closed under composition")
+    reps = []
+    seen: set[tuple[int, ...]] = set()
+    for phi in universe:
+        if phi in seen:
+            continue
+        reps.append(phi)
+        seen.update(compose_images(a, phi) for a in stab)
+    return reps
 
 
 def coset_representatives(
     universe: Sequence[Permutation], stab: Sequence[Permutation]
 ) -> list[Permutation]:
-    """One representative per orbit of the left action a . phi = a * phi of
-    ``stab`` on ``universe``.  ``stab`` must be a subgroup contained in
-    ``universe``; closure is checked."""
-    universe_set = {p.images for p in universe}
-    stab_set = {a.images for a in stab}
-    if not stab:
-        raise ValueError("stabilizer must contain the identity")
-    degree = stab[0].degree
-    if tuple(range(1, degree + 1)) not in stab_set:
-        raise ValueError("stabilizer must contain the identity")
-    if not stab_set <= universe_set:
-        raise ValueError("stabilizer is not contained in the universe")
-    for a in stab:
-        for b in stab:
-            if (a * b).images not in stab_set:
-                raise ValueError("stabilizer is not closed under composition")
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for phi in universe:
-        if phi.images in seen:
-            continue
-        reps.append(phi)
-        for a in stab:
-            seen.add((a * phi).images)
-    return reps
+    """``coset_representative_images`` on Permutation objects."""
+    reps = coset_representative_images(
+        [p.images for p in universe], [a.images for a in stab]
+    )
+    return [Permutation(p) for p in reps]

@@ -2,10 +2,13 @@
 (``perfbench/layers.py``).  A name that no longer resolves is reported as an
 absent hook and its per-layer metrics drop out of the result line, so every
 target must resolve, and the memoised Weingarten tables must keep the
-``cache_info`` their ``builds`` metric is read from."""
+``cache_info`` their ``builds`` metric is read from.  A short traced run of
+the ``exact`` workload checks the whole contract end to end."""
 
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,23 @@ def test_declared_metrics_come_from_hooks(layers):
     hooked = {hook.name for hook in layers.HOOKS} | {"exact_moments.crosscheck", "trace"}
     for name in declared:
         assert name.rpartition(".")[0] in hooked, name
+
+
+def test_traced_exact_run_reports_every_declared_metric():
+    result = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", "exact",
+            "--seed", "1", "--seconds", "2", "--trace", "1",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.strip().splitlines()]
+    record = lines[-1]
+    assert record["correct"] is True
+    assert record["failed"] == 0
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    missing = [name for name in declared if name not in record["metrics"]]
+    assert not missing, missing
+    details = next(line["details"] for line in lines if "details" in line)
+    assert details["absent_hooks"] == []

@@ -1,6 +1,7 @@
 """Command-line interface: grammar, outputs, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -118,6 +119,24 @@ class TestEntryMomentCommand:
         )
         assert code == 0
         assert "mc mean" in out and "standard errors" in out
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_all_equal_word_at_two_dimensions(self, k):
+        # E|u_11|^(2k) = k! (n-1)! / (n+k-1)!, which is 1/(k+1) at n = 2;
+        # the census counts k! products, not (k!)^2 matching pairs
+        ones = ",".join(["1"] * k)
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "ringmoments", "entry-moment", "--n", "2",
+                "--rows", ones, "--cols", ones,
+                "--conj-rows", ones, "--conj-cols", ones,
+            ],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        expect = Fraction(math.factorial(k), math.factorial(k + 1))
+        assert result.stdout.strip() == f"entry moment = {expect}"
+        assert expect == Fraction(1, k + 1)
 
     def test_out_of_range_index(self, capsys):
         code, _, err = run(

@@ -34,6 +34,7 @@ from ringmoments.montecarlo import estimate_trace_moment
 from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0
 from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
+from weingarten_oracles import unfolded_route_b_census
 
 
 def brute_uu(k: int, profile: SingularProfile) -> Fraction:
@@ -162,6 +163,17 @@ class TestRouteCensuses:
             degree = k - 1 if statistic == "uu" else k
             assert all(sum(lam) == degree for lam in census_a)
 
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 7)] + [("sq", k) for k in range(1, 6)],
+    )
+    def test_route_b_equals_the_unfolded_words(self, statistic, k):
+        # the conjugacy fold against every (phi, alpha, dressing) word formed
+        # in full
+        for pattern in equality_patterns(k):
+            folded = exact_moments._route_b_census(statistic, pattern)
+            assert folded == unfolded_route_b_census(statistic, pattern), (statistic, pattern)
+
     def test_sq_census_mass_at_the_distinct_pattern(self):
         # sq at the all-distinct pattern: a trivial stabilizer, so route B
         # has one word per phi in S_k
@@ -190,6 +202,19 @@ class TestRouteCensuses:
                 f_i((5, 3, 5, 3), 6)
         finally:
             route_censuses.cache_clear()
+
+    def test_endpoint_move_raises_naming_the_pattern(self, monkeypatch):
+        # a conjugate set built from c instead of c^-1 sends k to 2 in every
+        # gamma * beta, so the uu endpoint check must fire
+        k = 4
+        forward = tuple(range(2, k + 1)) + (1,)
+        exact_moments._folded_census.cache_clear()
+        monkeypatch.setattr(exact_moments, "_cycle_conjugates", lambda statistic, k: ((forward, 1),))
+        try:
+            with pytest.raises(CrossCheckError, match=r"endpoint.*\(1, 2, 1, 2\)"):
+                exact_moments._route_b_census("uu", (1, 2, 1, 2))
+        finally:
+            exact_moments._folded_census.cache_clear()
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,14 @@
-"""Entry moments of Haar unitaries: closed forms, unitarity sums, MC agreement."""
+"""Entry moments of Haar unitaries: closed forms, unitarity sums, MC agreement.
+
+The coset-counted census is checked against the pair-by-pair enumeration
+of ``weingarten_oracles.pairwise_entry_census``."""
 
 import itertools
+import json
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +22,9 @@ from ringmoments.haar_moments import (
     mc_entry_moment,
 )
 from ringmoments.weingarten import wg_class_table
+from weingarten_oracles import pairwise_entry_census
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def moment(n, rows, cols, conj_rows, conj_cols):
@@ -112,6 +122,45 @@ class TestEntryCensus:
     def test_moment_is_census_dot_table(self, n):
         spec = MomentSpec(n, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
         assert entry_moment(spec) == census_value(entry_census(spec), wg_class_table(3, n))
+
+
+class TestEntryCensusOracle:
+    """The coset count equals the census over every matching pair."""
+
+    def test_seeded_random_words(self):
+        rng = random.Random(20261018)
+        shapes = {"balanced": 0, "unbalanced": 0}
+        for _ in range(150):
+            k, n = rng.randint(1, 6), rng.randint(1, 4)
+            rows = tuple(rng.randint(1, n) for _ in range(k))
+            cols = tuple(rng.randint(1, n) for _ in range(k))
+            if rng.random() < 0.7:
+                conj_rows = tuple(rng.sample(rows, k))
+                conj_cols = tuple(rng.sample(cols, k))
+            else:
+                conj_rows = tuple(rng.randint(1, n) for _ in range(k))
+                conj_cols = tuple(rng.randint(1, n) for _ in range(k))
+            spec = MomentSpec(n, rows, cols, conj_rows, conj_cols)
+            census = entry_census(spec)
+            assert census == pairwise_entry_census(spec), spec
+            shapes["balanced" if census else "unbalanced"] += 1
+        assert min(shapes.values()) > 20, shapes
+
+    def test_benchmark_words(self):
+        words = json.loads(REFERENCES.read_text())["em8"]
+        specs = [MomentSpec(int(m), *map(tuple, w[:4])) for m, pool in words.items() for w in pool]
+        assert len(specs) == 24
+        for spec in specs:
+            assert entry_census(spec) == pairwise_entry_census(spec), spec
+
+    def test_all_equal_word(self):
+        # |Y n Z| = k!: one coset representative, k! products, weight k!
+        for k in range(1, 6):
+            ones = (1,) * k
+            spec = MomentSpec(2, ones, ones, ones, ones)
+            census = entry_census(spec)
+            assert census == pairwise_entry_census(spec)
+            assert sum(census.values()) == math.factorial(k) ** 2
 
 
 class TestUnitarityIdentities:

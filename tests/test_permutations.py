@@ -226,6 +226,27 @@ class TestGroupEnumeration:
         covered = {a * phi for phi in reps for a in stab}
         assert covered == set(universe)
 
+    def test_coset_representatives_need_the_identity(self):
+        universe = list(enumerate_sk0(4))
+        swap = Permutation.from_cycles(4, [(2, 3)])
+        with pytest.raises(ValueError, match="identity"):
+            coset_representatives(universe, [swap])
+        with pytest.raises(ValueError, match="identity"):
+            coset_representatives(universe, [])
+
+    def test_coset_representatives_need_the_stabilizer_inside(self):
+        universe = list(enumerate_sk0(4))
+        outside = [Permutation.identity(4), Permutation.from_cycles(4, [(1, 2)])]
+        with pytest.raises(ValueError, match="not contained"):
+            coset_representatives(universe, outside)
+
+    def test_coset_representatives_need_a_closed_stabilizer(self):
+        universe = list(all_permutations(3))
+        # the identity and one 3-cycle: the square of the 3-cycle is missing
+        unclosed = [Permutation.identity(3), Permutation.full_cycle(3)]
+        with pytest.raises(ValueError, match="not closed"):
+            coset_representatives(universe, unclosed)
+
 
 class TestIndexTuple:
     def test_pattern_canonicalization(self):
