@@ -66,8 +66,8 @@ independent routes:
 
 * route A counts the matching pairs of the entry moments of representatives
   of index reorderings that leave the tuple fixed (one representative per
-  stabilizer coset), each census counted per coset of the matchings
-  (``haar_moments.entry_census``),
+  stabilizer coset), each census counted per coset of the matchings and
+  built once per word shape (``haar_moments.entry_census``),
 * route B pushes the delta constraints through the Weingarten sum and counts
   the conjugation-and-transposition dressed words
   w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
@@ -556,9 +556,9 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     """sum_r a_r(n) s_(k-r, 1^r)(x) with x_i = s_i^2, in integers.
 
     The x_i are scaled to integers X_i = D x_i over D, the lcm of their
-    denominators; e_j(X) and h_j(X) come from the one-variable-at-a-time
-    recursions in O(n k) integer steps, and the Schur polynomials are
-    homogeneous of degree k, so the moment is one fraction
+    denominators, read straight off the s_i; e_j(X) and h_j(X) come from the
+    one-variable-at-a-time recursions in O(n k) integer steps, and the Schur
+    polynomials are homogeneous of degree k, so the moment is one fraction
     sum_r A_r s_r(X) / (Q D^k) with A_r / Q the cached coefficients.
     """
     _require_exact(profile)
@@ -567,9 +567,11 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     n = profile.n
     _certify(statistic, k, n)
     numerators, denominator = _hook_coefficients(statistic, k, n)
-    squares = [v * v for v in profile.values]
-    scale = math.lcm(*(x.denominator for x in squares))
-    xs = [x.numerator * (scale // x.denominator) for x in squares]
+    # s_i = p_i / q_i in lowest terms, so x_i = p_i^2 / q_i^2 is too, and
+    # D = lcm(q_i)^2 with X_i = (p_i * (lcm(q_i) // q_i))^2 needs no Fraction
+    root = math.lcm(*(v.denominator for v in profile.values))
+    scale = root * root
+    xs = [(v.numerator * (root // v.denominator)) ** 2 for v in profile.values]
     hooks = len(numerators)
     e = [1] + [0] * (hooks - 1)
     h = [1] + [0] * k

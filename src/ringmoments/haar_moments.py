@@ -27,6 +27,20 @@ one representative x of each left coset x (Y n Z) in Y (the x increasing on
 every block of positions that agree in both conj_rows and conj_cols) times
 all of Z, with the weight |Y n Z|: |Y| |Z| / |Y n Z| products instead of
 |Y| |Z|, and k! instead of (k!)^2 for a word with every index equal.
+
+The census is a function of the word's shape, so it is compiled once per
+shape.  Relabelling the row values, or the column values, keeps every
+matching.  Permuting the unconjugated factors by pi turns each matching pair
+(sigma, tau) into (sigma pi, tau pi), so sigma^-1 * tau becomes
+pi^-1 sigma^-1 tau pi, of the same cycle type; permuting the conjugated
+factors by pi turns it into (pi^-1 sigma, pi^-1 tau) and leaves sigma^-1 * tau
+unchanged.  Both maps are bijections on the matching pairs.  So the census of
+a word equals the census of its canonical form (values relabelled in order
+of first appearance, each side's (row, column) pairs sorted), and
+``entry_census`` memoises that form's census.  The form is only a cache key:
+two words of one shape may get different keys, which costs a second build
+and never a wrong census, since each key's census is computed from the word
+it names.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -129,27 +144,51 @@ def entry_census(spec: MomentSpec) -> Counter:
 
     Counted per coset (see the module docstring): one product per left
     coset representative of Y n Z in Y and element of Z, each weighted
-    |Y n Z|.  The census depends on the index equalities alone, never on
-    the dimension ``spec.n``; it is empty when the row or column multisets
-    disagree.
+    |Y n Z|.  The census depends on the shape of the word alone, never on
+    the dimension ``spec.n``, the index values or the order of the factors
+    within the unconjugated or the conjugated side; it is empty when the row
+    or column multisets disagree.  It is built once per canonical form of
+    the word (``_canonical_word``) and returned as a fresh Counter.
     """
-    sigma_0 = _one_matching(spec.rows, spec.conj_rows)
-    tau_0 = _one_matching(spec.cols, spec.conj_cols)
+    return Counter(dict(_word_census(*_canonical_word(spec))))
+
+
+def _canonical_word(
+    spec: MomentSpec,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The sorted (row, column) pairs of the unconjugated and of the
+    conjugated factors, with the row values and the column values relabelled
+    in order of first appearance (unconjugated side first)."""
+    row_label = {v: i for i, v in enumerate(dict.fromkeys(spec.rows + spec.conj_rows), 1)}
+    col_label = {v: i for i, v in enumerate(dict.fromkeys(spec.cols + spec.conj_cols), 1)}
+    plain = sorted(zip(map(row_label.get, spec.rows), map(col_label.get, spec.cols)))
+    conj = sorted(zip(map(row_label.get, spec.conj_rows), map(col_label.get, spec.conj_cols)))
+    return tuple(plain), tuple(conj)
+
+
+@lru_cache(maxsize=None)
+def _word_census(
+    plain: tuple[tuple[int, int], ...], conj: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The census of the word with unconjugated (row, column) pairs ``plain``
+    and conjugated pairs ``conj``, as (cycle type, count) pairs; memoised per
+    word, n-free."""
+    rows, cols = zip(*plain)
+    conj_rows, conj_cols = zip(*conj)
+    sigma_0 = _one_matching(rows, conj_rows)
+    tau_0 = _one_matching(cols, conj_cols)
     if sigma_0 is None or tau_0 is None:
-        return Counter()
+        return ()
     rho = compose_images(tau_0, invert_images(sigma_0))
-    both = list(zip(spec.conj_rows, spec.conj_cols))
-    weight = math.prod(math.factorial(len(block)) for block in _positions(both).values())
-    z_rhos = [compose_images(z, rho) for z in _young_subgroup(spec.conj_cols)]
+    # Y n Z permutes the positions with equal (conj_row, conj_col) pairs
+    weight = math.prod(math.factorial(len(block)) for block in _positions(conj).values())
+    z_rhos = [compose_images(z, rho) for z in _young_subgroup(conj_cols)]
     census = Counter(
         cycle_type_of_product(x, z_rho)
-        for x in _young_subgroup(spec.conj_rows, both)
+        for x in _young_subgroup(conj_rows, conj)
         for z_rho in z_rhos
     )
-    if weight > 1:
-        for lam in census:
-            census[lam] *= weight
-    return census
+    return tuple((lam, count * weight) for lam, count in census.items())
 
 
 def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:

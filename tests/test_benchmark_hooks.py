@@ -3,10 +3,12 @@
 absent hook and its per-layer metrics drop out of the result line, so every
 target must resolve, and the memoised Weingarten tables must keep the
 ``cache_info`` their ``builds`` metric is read from.  A short traced run of
-the ``exact`` workload checks the whole contract end to end."""
+the ``exact`` workload checks the whole contract end to end, and a short
+untraced run checks the line the end-to-end metrics are read from."""
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +70,22 @@ def test_traced_exact_run_reports_every_declared_metric():
     assert not missing, missing
     details = next(line["details"] for line in lines if "details" in line)
     assert details["absent_hooks"] == []
+
+
+def test_untraced_exact_run_reports_every_end_to_end_metric():
+    result = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", "exact",
+            "--seed", "1", "--seconds", "2", "--trace", "0",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.strip().splitlines()[-1])
+    assert record["correct"] is True
+    assert record["failed"] == 0
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert len(declared) == 4
+    for name in declared:
+        value = record["metrics"][name]["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value) and value > 0, (name, value)

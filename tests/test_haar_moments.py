@@ -1,7 +1,7 @@
 """Entry moments of Haar unitaries: closed forms, unitarity sums, MC agreement.
 
-The coset-counted census is checked against the pair-by-pair enumeration
-of ``weingarten_oracles.pairwise_entry_census``."""
+The coset-counted census, and its memo per word shape, are checked against
+the pair-by-pair enumeration of ``weingarten_oracles.pairwise_entry_census``."""
 
 import itertools
 import json
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringmoments import exact_moments, haar_moments
 from ringmoments.haar_moments import (
     MAX_WORD_LENGTH,
     MomentSpec,
@@ -161,6 +162,95 @@ class TestEntryCensusOracle:
             census = entry_census(spec)
             assert census == pairwise_entry_census(spec)
             assert sum(census.values()) == math.factorial(k) ** 2
+
+
+def random_word(rng: random.Random, k: int, n: int, balanced: bool) -> MomentSpec:
+    rows = tuple(rng.randint(1, n) for _ in range(k))
+    cols = tuple(rng.randint(1, n) for _ in range(k))
+    if balanced:
+        return MomentSpec(n, rows, cols, tuple(rng.sample(rows, k)), tuple(rng.sample(cols, k)))
+    conj_rows = tuple(rng.randint(1, n) for _ in range(k))
+    conj_cols = tuple(rng.randint(1, n) for _ in range(k))
+    return MomentSpec(n, rows, cols, conj_rows, conj_cols)
+
+
+def shape_variant(rng: random.Random, spec: MomentSpec) -> MomentSpec:
+    """``spec`` with its unconjugated factors reordered, its conjugated
+    factors reordered, and its row and column values relabelled, each at
+    random: a word of the same shape."""
+    k, n = spec.k, spec.n
+    plain, conj = rng.sample(range(k), k), rng.sample(range(k), k)
+    row_map, col_map = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
+    return MomentSpec(
+        n,
+        tuple(row_map[spec.rows[j] - 1] for j in plain),
+        tuple(col_map[spec.cols[j] - 1] for j in plain),
+        tuple(row_map[spec.conj_rows[j] - 1] for j in conj),
+        tuple(col_map[spec.conj_cols[j] - 1] for j in conj),
+    )
+
+
+@pytest.fixture
+def cold_memo():
+    """Every census memo cleared before and after the test, so that a
+    patched census function can leave nothing behind."""
+    def clear():
+        haar_moments._word_census.cache_clear()
+        exact_moments.route_censuses.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+class TestShapeMemo:
+    """The census is memoised per word shape: every word of one shape gets
+    the oracle census, whichever of them fills the memo."""
+
+    def test_shape_variants_match_the_oracle(self, cold_memo):
+        rng = random.Random(20261019)
+        shapes = {"balanced": 0, "unbalanced": 0}
+        for _ in range(120):
+            k, n = rng.randint(1, 6), rng.randint(1, 4)
+            spec = random_word(rng, k, n, balanced=rng.random() < 0.7)
+            expect = pairwise_entry_census(spec)
+            shapes["balanced" if expect else "unbalanced"] += 1
+            variants = [shape_variant(rng, spec) for _ in range(4)]
+            assert pairwise_entry_census(variants[0]) == expect, variants[0]
+            for variant in [spec] + variants:
+                assert entry_census(variant) == expect, variant
+        assert min(shapes.values()) > 20, shapes
+
+    def test_pairs_stay_together(self, cold_memo):
+        # equal sorted rows and sorted cols, different (row, col) pairs
+        swapped = MomentSpec(2, (1, 2), (1, 2), (1, 2), (2, 1))
+        straight = MomentSpec(2, (1, 2), (1, 2), (1, 2), (1, 2))
+        for spec in (straight, swapped, straight):
+            assert entry_census(spec) == pairwise_entry_census(spec)
+        assert entry_census(swapped) != entry_census(straight)
+
+    def test_one_build_per_shape(self, cold_memo, monkeypatch):
+        shapes = []
+
+        def counted(spec):
+            shapes.append(haar_moments._canonical_word(spec))
+            return entry_census(spec)
+
+        monkeypatch.setattr(exact_moments, "entry_census", counted)
+        for statistic, orders in (("uu", range(2, 7)), ("sq", range(1, 6))):
+            for k in orders:
+                for pattern in exact_moments.equality_patterns(k):
+                    exact_moments.route_censuses(statistic, pattern)
+        misses = haar_moments._word_census.cache_info().misses
+        assert misses == len(set(shapes)) == 1444
+        assert misses < len(shapes) == 4069
+
+    def test_returned_census_is_fresh(self, cold_memo):
+        spec = MomentSpec(3, (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2))
+        census = entry_census(spec)
+        census[(3,)] += 7
+        census.clear()
+        assert entry_census(spec) == pairwise_entry_census(spec) != {}
 
 
 class TestUnitarityIdentities:
