@@ -135,6 +135,8 @@ def _float_text(value: Fraction) -> str:
 def _cmd_exact_moment(args) -> int:
     profile = parse_profile(args.profile)
     report = theorem_bound(args.k, profile, args.mode, Fraction(args.epsilon))
+    # computed before any output, so a bad census order prints nothing
+    census = composition_census(args.k, profile) if args.census else None
     print(f"mode = {args.mode}  k = {args.k}  n = {profile.n}")
     print(f"exact moment = {report.exact_moment}")
     print(f"exact moment (float) = {_float_text(report.exact_moment)}")
@@ -144,8 +146,7 @@ def _cmd_exact_moment(args) -> int:
     else:
         print(f"ratio = {report.ratio}  (float {_float_text(report.ratio)})")
     print(f"small-order condition k^6 < (2 - eps) n: {report.applicable}")
-    if args.census:
-        census = composition_census(args.k, profile)
+    if census is not None:
         names = ("L0", "L1", "L2", "L3", "L4", "L5")
         for name, link in zip(names, census.links):
             print(f"census {name} = {link}")

@@ -96,10 +96,21 @@ that this is the hook sum coefficient by coefficient in the monomial basis,
 which proves the two derivations the same polynomial in x for every profile
 of length n.  A mismatch raises ``CrossCheckError``.
 
-``composition_census`` weighs the same patterns by their injective weights,
-augmented monomial symmetric functions obtained exactly from the power sums
-p_m = sum_i s_i^(2m) by Moebius inversion on the set-partition lattice of
-the blocks.
+The counting chain
+------------------
+``composition_census`` evaluates its first links in closed form from the
+same integer e_j and h_j recursion the hook sums use:
+
+    L0 = p_1(x)^2 (k-2)! h_{k-2}(x),    L1 = k! h_k(x).
+
+For a tuple i of length m, sum_i x^i prod_v m_v(i)! = m! h_m(x), with
+m_v(i) the multiplicity of the value v in i: each monomial x^a of degree m
+is hit by m! / prod_v a_v! tuples.  The endpoint-fixing symmetries of i
+permute positions 2..k-1 only, so their number is prod_v m_v! over those
+positions; the endpoints contribute p_1^2 and the middle (k-2)! h_{k-2}.
+L1 is the sum at m = k.
+
+``verify_counting_lemma`` reads its count off route B's folded uu census.
 """
 
 from __future__ import annotations
@@ -118,7 +129,6 @@ from .permutations import (
     compose_images,
     coset_representative_images,
     cycle_type_of_product,
-    enumerate_sk0,
     invert_images,
     stabilizer_images,
     universe_images,
@@ -254,12 +264,11 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     the check on the words, and so is the restriction to {1..k-1}.
     """
     k = len(pattern)
-    c = tuple(range(2, k + 1)) + (1,)
     if statistic == "sq":
-        c_dressed = [c]  # sq words carry no dressing
+        c_dressed = [tuple(range(2, k + 1)) + (1,)]  # sq words carry no dressing
     else:
         c_dressed = [
-            compose_images(c, compose_images(_swap(k, l2, k - 1), _swap(k, 1, l1)))
+            _dressed_cycle(k, l1, l2)
             for l1 in range(1, k)
             if pattern[l1 - 1] == pattern[0]
             for l2 in range(1, k)
@@ -285,6 +294,12 @@ def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
     images = list(range(1, k + 1))
     images[a - 1], images[b - 1] = b, a
     return tuple(images)
+
+
+def _dressed_cycle(k: int, l1: int, l2: int) -> tuple[int, ...]:
+    """Images of c (l2 k-1) (1 l1), with c the full cycle 1 -> 2 -> ... -> k -> 1."""
+    c = tuple(range(2, k + 1)) + (1,)
+    return compose_images(c, compose_images(_swap(k, l2, k - 1), _swap(k, 1, l1)))
 
 
 @lru_cache(maxsize=None)
@@ -391,78 +406,6 @@ def _require_exact(profile: SingularProfile) -> None:
 
 
 @lru_cache(maxsize=None)
-def _set_partition_terms(p: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """(mu(0, pi), blocks of pi) for every set partition pi of {0, ..., p-1},
-    with mu(0, pi) = prod over blocks B of (-1)^(|B|-1) (|B|-1)! the Moebius
-    function of the set-partition lattice."""
-    def partitions(items: list[int]) -> Iterator[list[list[int]]]:
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            yield [[first]] + part
-            for j in range(len(part)):
-                yield part[:j] + [[first] + part[j]] + part[j + 1 :]
-
-    terms = []
-    for part in partitions(list(range(p))):
-        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
-        terms.append((mu, tuple(tuple(b) for b in part)))
-    return tuple(terms)
-
-
-def _power_sums(profile: SingularProfile, k: int) -> list[Fraction]:
-    """p[m] = sum_i s_i^(2m) for m = 0..k."""
-    squares = [v * v for v in profile.values]
-    sums = [Fraction(profile.n)]
-    powers = [Fraction(1)] * len(squares)
-    for _ in range(k):
-        powers = [x * sq for x, sq in zip(powers, squares)]
-        sums.append(sum(powers, Fraction(0)))
-    return sums
-
-
-def _ordered_injective_weight(
-    power_sums: Sequence[Fraction], sizes: Sequence[int]
-) -> Fraction:
-    """sum over ordered tuples of distinct value positions (v_1, ..., v_p) of
-    prod_j s_{v_j}^(2 * sizes_j), exactly.
-
-    Moebius inversion on the lattice of set partitions of the p slots: the
-    unrestricted sum over a partition pi (slots in one block share a
-    position) is prod over blocks B of p[sum_{j in B} sizes_j], and the
-    injective sum is the sum over pi of mu(0, pi) times that product.  At
-    most Bell(p) terms; zero whenever p exceeds the number of values.
-    """
-    total = Fraction(0)
-    for mu, blocks in _set_partition_terms(len(sizes)):
-        term = Fraction(mu)
-        for block in blocks:
-            term *= power_sums[sum(sizes[j] for j in block)]
-        total += term
-    return total
-
-
-def _weighted_patterns(
-    k: int, profile: SingularProfile
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-    """(pattern, block sizes, injective weight) for every equality pattern of
-    k positions with at most n blocks."""
-    power_sums = _power_sums(profile, k)
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for pattern in equality_patterns(k):
-        blocks = max(pattern)
-        if blocks > profile.n:
-            continue
-        sizes = tuple(pattern.count(b) for b in range(1, blocks + 1))
-        key = tuple(sorted(sizes))
-        if key not in weights:
-            weights[key] = _ordered_injective_weight(power_sums, key)
-        yield pattern, sizes, weights[key]
-
-
-@lru_cache(maxsize=None)
 def _hook_coefficients(
     statistic: Statistic, k: int, n: int
 ) -> tuple[tuple[int, ...], int]:
@@ -552,14 +495,37 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
             )
 
 
+def _scaled_symmetric_sums(
+    profile: SingularProfile, e_max: int, h_max: int
+) -> tuple[list[int], list[int], int]:
+    """(e, h, D): e_j(X) for j <= e_max and h_j(X) for j <= h_max, in
+    integers, with X_i = D x_i the squared singular values x_i = s_i^2 over
+    D, the lcm of their denominators.
+
+    The one-variable-at-a-time recursions take O(n (e_max + h_max)) integer
+    steps; e_j(x) = e_j(X) / D^j and h_j(x) = h_j(X) / D^j.
+    """
+    # s_i = p_i / q_i in lowest terms, so x_i = p_i^2 / q_i^2 is too, and
+    # D = lcm(q_i)^2 with X_i = (p_i * (lcm(q_i) // q_i))^2 needs no Fraction
+    root = math.lcm(*(v.denominator for v in profile.values))
+    xs = [(v.numerator * (root // v.denominator)) ** 2 for v in profile.values]
+    e = [1] + [0] * e_max
+    h = [1] + [0] * h_max
+    for x in xs:
+        for j in range(e_max, 0, -1):
+            e[j] += x * e[j - 1]
+        for j in range(1, h_max + 1):
+            h[j] += x * h[j - 1]
+    return e, h, root * root
+
+
 def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fraction:
     """sum_r a_r(n) s_(k-r, 1^r)(x) with x_i = s_i^2, in integers.
 
-    The x_i are scaled to integers X_i = D x_i over D, the lcm of their
-    denominators, read straight off the s_i; e_j(X) and h_j(X) come from the
-    one-variable-at-a-time recursions in O(n k) integer steps, and the Schur
-    polynomials are homogeneous of degree k, so the moment is one fraction
-    sum_r A_r s_r(X) / (Q D^k) with A_r / Q the cached coefficients.
+    e_j and h_j of the scaled X_i = D x_i come from
+    ``_scaled_symmetric_sums``, and the Schur polynomials are homogeneous of
+    degree k, so the moment is one fraction sum_r A_r s_r(X) / (Q D^k) with
+    A_r / Q the cached coefficients.
     """
     _require_exact(profile)
     if k < 1:
@@ -567,19 +533,8 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     n = profile.n
     _certify(statistic, k, n)
     numerators, denominator = _hook_coefficients(statistic, k, n)
-    # s_i = p_i / q_i in lowest terms, so x_i = p_i^2 / q_i^2 is too, and
-    # D = lcm(q_i)^2 with X_i = (p_i * (lcm(q_i) // q_i))^2 needs no Fraction
-    root = math.lcm(*(v.denominator for v in profile.values))
-    scale = root * root
-    xs = [(v.numerator * (root // v.denominator)) ** 2 for v in profile.values]
     hooks = len(numerators)
-    e = [1] + [0] * (hooks - 1)
-    h = [1] + [0] * k
-    for x in xs:
-        for j in range(hooks - 1, 0, -1):
-            e[j] += x * e[j - 1]
-        for j in range(1, k + 1):
-            h[j] += x * h[j - 1]
+    e, h, scale = _scaled_symmetric_sums(profile, hooks - 1, k)
     total = sum(a * s for a, s in zip(numerators, _hook_schurs(e, h, k, hooks)))
     return Fraction(total, denominator * scale**k)
 
@@ -664,7 +619,12 @@ def verify_counting_lemma(
         c^-1 phi^-1 alpha^-1 c (l2 k-1) (1 l1) phi
 
     has transposition distance exactly q, and compare against the ceiling
-    k^(4q) / (2q)!.  ``alpha`` must fix both endpoints."""
+    k^(4q) / (2q)!.  ``alpha`` must fix both endpoints.
+
+    The word is route B's uu word with beta = alpha^-1 c (l2 k-1) (1 l1), so
+    the count is read off its folded census (``_folded_census``): a word
+    that fixes k with cycle type (lam, 1) on {1..k} has distance
+    k - 1 - len(lam)."""
     if k < 2:
         raise ValueError("needs degree k >= 2")
     if k > 7:
@@ -675,15 +635,11 @@ def verify_counting_lemma(
         raise ValueError("alpha must be an endpoint-fixing permutation of degree k")
     if not 0 <= q <= k:
         raise ValueError(f"distance {q} outside 0..{k}")
-    c = Permutation.full_cycle(k)
-    head = c.inverse()
-    tail = c * Permutation.transposition(k, l2, k - 1) * Permutation.transposition(k, 1, l1)
-    mid = alpha.inverse() * tail
-    count = 0
-    for phi in enumerate_sk0(k):
-        word = head * phi.inverse() * mid * phi
-        if word.transposition_distance() == q:
-            count += 1
+    beta = compose_images(invert_images(alpha.images), _dressed_cycle(k, l1, l2))
+    # never None: phi(k) = k, both swaps fix k, c(k) = 1, alpha^-1(1) = 1 and
+    # c^-1(1) = k, so every word fixes k
+    folded = _folded_census("uu", k, beta)
+    count = sum(number for lam, number in folded if k - 1 - len(lam) == q)
     bound = Fraction(k ** (4 * q), math.factorial(2 * q))
     return CountingCheck(k, l1, l2, alpha, q, count, bound, count <= bound)
 
@@ -692,11 +648,14 @@ def verify_counting_lemma(
 class CensusReport:
     """Successive closed-form envelopes of the stabilizer-weighted power sum
 
-        L0 = sum_i prod_l s_{i_l}^2 * #(endpoint-fixing symmetries of i).
+        L0 = sum_i prod_l s_{i_l}^2 * #(endpoint-fixing symmetries of i)
+           = p_1(x)^2 (k-2)! h_{k-2}(x),    x_i = s_i^2,
 
-    Each link majorizes the previous one:
+    over i in {1..n}^k (derivation in the module docstring).  Each link
+    majorizes the previous one:
 
     L1 folds the stabilizer size into the product of block factorials,
+       k! h_k(x),
     L2 peels subleading factors to M^2 and closes the partition sums,
     L3 replaces the distinct-value sums by (n b^2)^p / p!,
     L4 absorbs the factorial ratio into (k M^2)^(k-p) binomials,
@@ -718,27 +677,14 @@ def composition_census(k: int, profile: SingularProfile) -> CensusReport:
     _require_exact(profile)
     if k < 2:
         raise ValueError("census needs k >= 2")
-    if k > 8:
-        raise ValueError("census supported for k <= 8")
     n = profile.n
-    values = profile.values
     b2 = profile.b2
     m2 = profile.M * profile.M
-
-    l0 = Fraction(0)
-    l1 = Fraction(0)
-    for pattern, sizes, weight in _weighted_patterns(k, profile):
-        stab_size = len(_pattern_stabilizer("uu", pattern))
-        l0 += weight * stab_size
-        l1 += weight * math.prod(math.factorial(s) for s in sizes)
-
-    # elementary symmetric sums of the squared singular values
-    elem = [Fraction(0)] * (n + 1)
-    elem[0] = Fraction(1)
-    for v in values:
-        sq = v * v
-        for p in range(n, 0, -1):
-            elem[p] += elem[p - 1] * sq
+    e, h, scale = _scaled_symmetric_sums(profile, min(k, n), k)
+    # closed forms, see the module docstring; e_j(x) = e[j] / scale^j and
+    # likewise for h
+    l0 = Fraction(h[1] ** 2 * math.factorial(k - 2) * h[k - 2], scale**k)
+    l1 = Fraction(math.factorial(k) * h[k], scale**k)
 
     l2 = Fraction(0)
     l3 = Fraction(0)
@@ -747,7 +693,7 @@ def composition_census(k: int, profile: SingularProfile) -> CensusReport:
         lead = m2 ** (k - p)
         compositions = math.comb(k - 1, p - 1)
         if p <= n:
-            l2 += lead * elem[p] * compositions * math.factorial(k)
+            l2 += lead * Fraction(e[p], scale**p) * compositions * math.factorial(k)
         l3 += (
             lead
             * (n * b2) ** p

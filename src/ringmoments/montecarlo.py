@@ -65,11 +65,6 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed n x n unitary."""
-    return haar_batch(n, 1, rng)[0]
-
-
 def sample_A(profile: SingularProfile, rng: np.random.Generator) -> np.ndarray:
     """One draw of A = U T V with independent Haar factors and
     T = diag(profile)."""
@@ -251,6 +246,8 @@ def spectrum_records(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (family, n, seed, pos * replications + rep)
         for pos, n in enumerate(n_values)
@@ -318,8 +315,6 @@ def radius_rate_experiment(
     otherwise a profile whose radius deviation is exactly 0 would feed pure
     rounding noise into the regression instead of flagging degeneracy.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
     records = spectrum_records(family, n_grid, replications, seed, jobs)
     eps = float(np.finfo(float).eps)
     points = []
@@ -352,18 +347,10 @@ def tail_experiment(
     automatically nonincreasing in delta."""
     if n != profile.n:
         raise ValueError(f"profile has n={profile.n}, experiment asked for {n}")
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    tasks = [
-        (_FixedProfileFamily(profile.values), n, seed, rep)
-        for rep in range(replications)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_spectrum_worker, tasks))
-    else:
-        chunks = [_spectrum_worker(t) for t in tasks]
-    records = [record for chunk in chunks for record in chunk]
+    # grid position 0, so replication rep owns stream index rep
+    records = spectrum_records(
+        _FixedProfileFamily(profile.values), [n], replications, seed, jobs
+    )
     radii = [r.value for r in records if r.stat == "spectral_radius"]
     minima = [r.value for r in records if r.stat == "min_modulus"]
     b, a = profile.b, profile.a
@@ -407,27 +394,6 @@ def write_records_csv(records: Iterable[ExperimentRecord], path: str) -> None:
             writer.writerow([_format_value(getattr(r, c)) for c in CSV_COLUMNS])
 
 
-def read_records_csv(path: str) -> list[ExperimentRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CSV_COLUMNS):
-            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        return [
-            ExperimentRecord(
-                n=int(row["n"]),
-                k=int(row["k"]),
-                seed=int(row["seed"]),
-                stat=row["stat"],
-                value=float(row["value"]),
-                b=float(row["b"]),
-                a=float(row["a"]),
-                M=float(row["M"]),
-                m=float(row["m"]),
-            )
-            for row in reader
-        ]
-
-
 def write_records_jsonl(records: Iterable[ExperimentRecord], path: str) -> None:
     """One JSON object per line, keys sorted, floats via repr round-trip."""
     with open(path, "w") as fh:
@@ -435,11 +401,3 @@ def write_records_jsonl(records: Iterable[ExperimentRecord], path: str) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True))
             fh.write("\n")
 
-
-def read_records_jsonl(path: str) -> list[ExperimentRecord]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(ExperimentRecord(**json.loads(line)))
-    return out

@@ -174,6 +174,14 @@ class TestExactMomentCommand:
             assert f"census {name} = " in out
         assert "census chain ok = True" in out
 
+    def test_census_below_order_two_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "exact-moment", "--k", "1", "--profile", "1,2,3", "--census"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: census needs k >= 2\n"
+
     def test_order_above_dimension(self, capsys):
         # sq at k = 3 on a 2-point profile: the hook sum serves n < k
         code, out, _ = run(
@@ -454,6 +462,22 @@ class TestSpectrumExperimentCommand:
     def test_unknown_key(self, capsys, tmp_path, payload, key):
         err = self._usage_error(capsys, tmp_path, payload)
         assert "unknown key" in err and repr(key) in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, capsys, tmp_path, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replications": 2}
+        ))
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(tmp_path), "--jobs", jobs,
+        )
+        assert code == 2
+        assert err == f"usage error: jobs must be at least 1, got {jobs}\n"
+        assert out == ""
+        assert not (tmp_path / "tail_records.csv").exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -4,8 +4,10 @@ Oracle used here: the unreduced double index sum.  For the uu moment it sums
 entry moments of the open word pairs over all i, j in {1..n}^k with matching
 endpoints; for the sq moment over all cyclic pairs.  It shares nothing with
 the pattern-deduplicated production path except entry_moment itself.  The
-pattern weights are checked against the enumeration of injective
-assignments they replace.
+Moebius pattern weights of ``weingarten_oracles``, which ``census_oracle``
+uses, are checked against the enumeration of injective assignments; the
+counting chain's closed forms against sums over every index tuple, and the
+counting lemma against the word-by-word count.
 """
 
 import itertools
@@ -31,10 +33,17 @@ from ringmoments.exact_moments import (
 )
 from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
 from ringmoments.montecarlo import estimate_trace_moment
-from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0
+from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0, stabilizer
 from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
-from weingarten_oracles import unfolded_route_b_census
+from weingarten_oracles import (
+    counting_lemma_distances,
+    ordered_injective_weight,
+    power_sums,
+    set_partition_terms,
+    unfolded_route_b_census,
+    weighted_patterns,
+)
 
 
 def brute_uu(k: int, profile: SingularProfile) -> Fraction:
@@ -84,7 +93,7 @@ def census_oracle(k: int, profile: SingularProfile, inner) -> Fraction:
     equality patterns: the per-profile Weingarten-census evaluation that the
     hook sums replace."""
     total = Fraction(0)
-    for pattern, _sizes, weight in exact_moments._weighted_patterns(k, profile):
+    for pattern, _sizes, weight in weighted_patterns(k, profile):
         if weight != 0:
             total += inner(pattern) * weight
     return total
@@ -256,23 +265,23 @@ class TestInjectiveWeights:
         profile = SingularProfile.from_values(
             [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
         )
-        power_sums = exact_moments._power_sums(profile, 6)
+        sums = power_sums(profile, 6)
         for k in range(1, 7):
             for pattern in equality_patterns(k):
                 sizes = tuple(pattern.count(b) for b in range(1, max(pattern) + 1))
                 expect = brute_injective_weight(profile, sizes)
-                got = exact_moments._ordered_injective_weight(power_sums, sizes)
+                got = ordered_injective_weight(sums, sizes)
                 assert got == expect, (seed, sizes)
 
     def test_more_blocks_than_values_weigh_zero(self):
         profile = SingularProfile.from_values([Fraction(1, 2), Fraction(3)])
-        power_sums = exact_moments._power_sums(profile, 4)
-        assert exact_moments._ordered_injective_weight(power_sums, (1, 2, 1)) == 0
+        sums = power_sums(profile, 4)
+        assert ordered_injective_weight(sums, (1, 2, 1)) == 0
 
     def test_bell_number_of_terms(self):
         bell = [1, 1, 2, 5, 15, 52, 203]
         for p, count in enumerate(bell):
-            assert len(exact_moments._set_partition_terms(p)) == count
+            assert len(set_partition_terms(p)) == count
 
 
 class TestTraceMomentsAgainstBrute:
@@ -707,6 +716,16 @@ class TestCountingLemma:
                 )
                 assert total == math.factorial(k - 2)
 
+    def test_counts_match_the_word_by_word_oracle(self):
+        for k in range(2, 7):
+            for alpha in enumerate_sk0(k):
+                for l1 in range(1, k):
+                    for l2 in range(1, k):
+                        expect = counting_lemma_distances(k, l1, l2, alpha)
+                        for q in range(0, k + 1):
+                            check = verify_counting_lemma(k, l1, l2, alpha, q)
+                            assert check.count == expect[q], (k, l1, l2, alpha, q)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             verify_counting_lemma(4, 1, 1, Permutation.full_cycle(4), 1)
@@ -735,6 +754,34 @@ class TestCompositionCensus:
             report = composition_census(k, profile)
             bound = theorem_bound(k, profile, mode="uu")
             assert report.value == bound.bound_core
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_links_match_the_index_sums(self, seed):
+        # L0 = sum_i x^i #S0(i) and L1 = sum_i x^i prod_v m_v(i)! over all of
+        # [n]^k, on profiles with zeros and with n < k
+        import math
+        import random
+
+        rng = random.Random(seed)
+        for k in range(2, 6):
+            for n in range(1, 4):
+                profile = seeded_profile(rng, n)
+                x = [v * v for v in profile.values]
+                l0 = l1 = Fraction(0)
+                for i in itertools.product(range(1, n + 1), repeat=k):
+                    weight = math.prod(x[v - 1] for v in i)
+                    l0 += weight * len(stabilizer(IndexTuple(i, n), "sk0"))
+                    l1 += weight * math.prod(math.factorial(i.count(v)) for v in set(i))
+                links = composition_census(k, profile).links
+                assert links[:2] == (l0, l1), (seed, k, profile.values)
+
+    @pytest.mark.parametrize("k", [9, 12, 24])
+    def test_chain_beyond_the_pattern_orders(self, k):
+        with_zero = SingularProfile.from_values([Fraction(0), Fraction(3, 2), Fraction(7, 3)])
+        for profile in (ramp(4), with_zero):
+            report = composition_census(k, profile)
+            assert report.chain_ok
+            assert report.value == theorem_bound(k, profile, mode="uu").bound_core
 
     def test_binomial_closing_step(self):
         # L5 is the binomial closing of L4's summands

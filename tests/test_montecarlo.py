@@ -1,5 +1,7 @@
 """Sampling layer: distributional checks, determinism, experiment records."""
 
+import csv
+import json
 import math
 import os
 
@@ -17,11 +19,8 @@ from ringmoments.montecarlo import (
     extreme_eigenvalues,
     haar_batch,
     radius_rate_experiment,
-    read_records_csv,
-    read_records_jsonl,
     rng_stream,
     sample_A,
-    sample_haar_unitary,
     spectrum_records,
     tail_experiment,
     write_records_csv,
@@ -30,11 +29,39 @@ from ringmoments.montecarlo import (
 from ringmoments.profiles import SingularProfile
 
 
+def read_records_csv(path: str) -> list[ExperimentRecord]:
+    """Records back from ``write_records_csv``; rejects any other header."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != list(CSV_COLUMNS):
+            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
+        return [
+            ExperimentRecord(
+                n=int(row["n"]),
+                k=int(row["k"]),
+                seed=int(row["seed"]),
+                stat=row["stat"],
+                value=float(row["value"]),
+                b=float(row["b"]),
+                a=float(row["a"]),
+                M=float(row["M"]),
+                m=float(row["m"]),
+            )
+            for row in reader
+        ]
+
+
+def read_records_jsonl(path: str) -> list[ExperimentRecord]:
+    """Records back from ``write_records_jsonl``."""
+    with open(path) as fh:
+        return [ExperimentRecord(**json.loads(line)) for line in fh if line.strip()]
+
+
 class TestSamplers:
     def test_unitarity(self):
         rng = rng_stream(7)
         for n in (1, 2, 5, 16):
-            u = sample_haar_unitary(n, rng)
+            u = haar_batch(n, 1, rng)[0]
             assert u.shape == (n, n)
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-10
 
@@ -241,6 +268,12 @@ class TestTailExperiment:
         profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
         with pytest.raises(ValueError):
             tail_experiment(profile, 8, [0.1], replications=0, seed=0)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        fam = ProfileFamily("constant", 1.0)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            spectrum_records(fam, [4], replications=1, seed=0, jobs=jobs)
 
 
 class TestRecordIO:

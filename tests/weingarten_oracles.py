@@ -7,26 +7,37 @@
 * the entry census pair by pair, over every matching pair (sigma, tau),
   next to the coset count of ``haar_moments.entry_census``;
 * the route-B census word by word, over every (phi, alpha, dressing), next
-  to the conjugacy fold of ``exact_moments._route_b_census``.
+  to the conjugacy fold of ``exact_moments._route_b_census``;
+* the counting-lemma count word by word on ``Permutation`` objects, next to
+  the folded census read by ``exact_moments.verify_counting_lemma``;
+* the injective pattern weights by Moebius inversion on the set-partition
+  lattice, next to the closed forms of ``exact_moments.composition_census``
+  and the hook sums.
 
-All of them enumerate S_k or products of its subsets, so they are meant for
-small degrees only.
+All of them enumerate S_k, products of its subsets or set partitions, so
+they are meant for small degrees only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator, Sequence
 
+from ringmoments.exact_moments import equality_patterns
 from ringmoments.haar_moments import MomentSpec
 from ringmoments.permutations import (
+    Permutation,
     compose_images,
     cycle_count_of_images,
     cycle_type_of_images,
+    enumerate_sk0,
     invert_images,
 )
+from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import class_representative, integer_partitions
 
 
@@ -210,3 +221,86 @@ def unfolded_route_b_census(statistic: str, pattern: tuple[int, ...]) -> Counter
     if any(word[k - 1] != k for word in words):
         return None
     return cycle_type_census(Counter({word[: k - 1]: m for word, m in words.items()}))
+
+
+def counting_lemma_distances(k: int, l1: int, l2: int, alpha: Permutation) -> Counter:
+    """Transposition distance -> number of endpoint-fixing phi whose word
+    c^-1 phi^-1 alpha^-1 c (l2 k-1) (1 l1) phi has that distance, each word
+    formed in full as a ``Permutation``."""
+    c = Permutation.full_cycle(k)
+    head = c.inverse()
+    tail = c * Permutation.transposition(k, l2, k - 1) * Permutation.transposition(k, 1, l1)
+    mid = alpha.inverse() * tail
+    return Counter(
+        (head * phi.inverse() * mid * phi).transposition_distance() for phi in enumerate_sk0(k)
+    )
+
+
+@lru_cache(maxsize=None)
+def set_partition_terms(p: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(mu(0, pi), blocks of pi) for every set partition pi of {0, ..., p-1},
+    with mu(0, pi) = prod over blocks B of (-1)^(|B|-1) (|B|-1)! the Moebius
+    function of the set-partition lattice."""
+    def partitions(items: list[int]) -> Iterator[list[list[int]]]:
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[first]] + part
+            for j in range(len(part)):
+                yield part[:j] + [[first] + part[j]] + part[j + 1 :]
+
+    terms = []
+    for part in partitions(list(range(p))):
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        terms.append((mu, tuple(tuple(b) for b in part)))
+    return tuple(terms)
+
+
+def power_sums(profile: SingularProfile, k: int) -> list[Fraction]:
+    """p[m] = sum_i s_i^(2m) for m = 0..k."""
+    squares = [v * v for v in profile.values]
+    sums = [Fraction(profile.n)]
+    powers = [Fraction(1)] * len(squares)
+    for _ in range(k):
+        powers = [x * sq for x, sq in zip(powers, squares)]
+        sums.append(sum(powers, Fraction(0)))
+    return sums
+
+
+def ordered_injective_weight(sums: Sequence[Fraction], sizes: Sequence[int]) -> Fraction:
+    """sum over ordered tuples of distinct value positions (v_1, ..., v_p) of
+    prod_j s_{v_j}^(2 * sizes_j), exactly, from the power sums ``sums``.
+
+    Moebius inversion on the lattice of set partitions of the p slots: the
+    unrestricted sum over a partition pi (slots in one block share a
+    position) is prod over blocks B of p[sum_{j in B} sizes_j], and the
+    injective sum is the sum over pi of mu(0, pi) times that product.  At
+    most Bell(p) terms; zero whenever p exceeds the number of values.
+    """
+    total = Fraction(0)
+    for mu, blocks in set_partition_terms(len(sizes)):
+        term = Fraction(mu)
+        for block in blocks:
+            term *= sums[sum(sizes[j] for j in block)]
+        total += term
+    return total
+
+
+def weighted_patterns(
+    k: int, profile: SingularProfile
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """(pattern, block sizes, injective weight) for every equality pattern of
+    k positions with at most n blocks."""
+    sums = power_sums(profile, k)
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for pattern in equality_patterns(k):
+        blocks = max(pattern)
+        if blocks > profile.n:
+            continue
+        sizes = tuple(pattern.count(b) for b in range(1, blocks + 1))
+        key = tuple(sorted(sizes))
+        if key not in weights:
+            weights[key] = ordered_injective_weight(sums, key)
+        yield pattern, sizes, weights[key]
