@@ -10,7 +10,8 @@ Profiles are given as one of
   * a file reference:                         file:PATH  (one value per line)
 
 Output files land in --out when given, else in $RINGMOMENTS_OUTPUT_DIR, else
-in the working directory.
+in the working directory.  A missing output directory is created when the
+first file is written, so a run rejected before that leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ def parse_profile(text: str) -> SingularProfile:
     return SingularProfile(tuple(Fraction(tok) for tok in text.split(",")))
 
 
-def _out_dir(args) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+def _output_path(args, name: str) -> Path:
+    """The path of output file ``name``, creating its directory.  Called just
+    before the file is written, so a run that fails first leaves no
+    directory behind."""
+    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -210,7 +214,7 @@ def _cmd_mc_moment(args) -> int:
             sigma = abs(est.mean - float(exact)) / est.std_error
             print(f"deviation = {sigma:.2f} standard errors")
     if args.output:
-        path = _out_dir(args) / args.output
+        path = _output_path(args, args.output)
         records = [
             ExperimentRecord(
                 n=profile.n, k=args.k, seed=args.seed,
@@ -276,8 +280,6 @@ def _cmd_spectrum_experiment(args) -> int:
     kind = config.get("experiment")
     seed = _config_int(config.get("seed", 0), "seed")
     replications = _config_int(config.get("replications", 16), "replications")
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     writer = write_records_csv if args.format == "csv" else write_records_jsonl
     suffix = "csv" if args.format == "csv" else "jsonl"
     if kind == "radius-rate":
@@ -295,9 +297,9 @@ def _cmd_spectrum_experiment(args) -> int:
         records, fit = radius_rate_experiment(
             family, n_grid, replications, seed, args.jobs
         )
-        records_path = out / f"radius_rate_records.{suffix}"
+        records_path = _output_path(args, f"radius_rate_records.{suffix}")
         writer(records, str(records_path))
-        fit_path = out / "radius_rate_fit.json"
+        fit_path = _output_path(args, "radius_rate_fit.json")
         fit_payload = {
             "slope": fit.slope,
             "stderr": fit.stderr,
@@ -322,9 +324,9 @@ def _cmd_spectrum_experiment(args) -> int:
         records, points = tail_experiment(
             profile, n, deltas, replications, seed, args.jobs
         )
-        records_path = out / f"tail_records.{suffix}"
+        records_path = _output_path(args, f"tail_records.{suffix}")
         writer(records, str(records_path))
-        curve_path = out / "tail_curve.csv"
+        curve_path = _output_path(args, "tail_curve.csv")
         with open(curve_path, "w", newline="") as fh:
             fh.write("delta,p_radius_above,p_min_below\n")
             for p in points:

@@ -1,6 +1,18 @@
 """Seeded Monte-Carlo sampling: Haar unitaries, profile-constrained matrices,
 trace-moment estimators, and spectral-radius experiments.
 
+One Haar draw per sample.  With U, V independent Haar and T = diag(s),
+
+    U T V = U (T V U) U^*,
+
+and W = V U is again Haar.  So A = U T V is unitarily similar to T W, which
+has the same eigenvalues, the same tr A^k and the same tr A^k (A^k)^* for
+every k.  Every statistic sampled here is one of those, so each sample is
+drawn as ``s[:, None] * W`` from a single Haar matrix: no second QR and no
+matrix product.  The matrix law of T W is not that of U T V (its rows have
+the fixed norms s_i), so the samplers are for similarity-invariant
+statistics only.
+
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
 items (replications) own disjoint stream indices and results are merged by
@@ -53,31 +65,36 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     Complex Ginibre followed by QR, with the Q columns rescaled by the phases
     of the R diagonal.  Without that rescaling the QR output is not Haar.
+    The real and imaginary parts come interleaved from one normal draw, and
+    the entries keep variance 2: Householder QR returns the same Q for any
+    positive multiple of its input, so the usual 1/sqrt(2) is left out.
     """
     if n < 1 or count < 1:
         raise ValueError("dimension and count must be at least 1")
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    z /= math.sqrt(2)
+    z = rng.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(d)
     phase = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
-    return q * phase[:, None, :]
+    q *= phase[:, None, :]
+    return q
 
 
 def sample_A(profile: SingularProfile, rng: np.random.Generator) -> np.ndarray:
-    """One draw of A = U T V with independent Haar factors and
-    T = diag(profile)."""
+    """One draw of T W, with T = diag(profile) and W Haar: unitarily similar
+    to A = U T V with independent Haar factors (see the module docstring),
+    so it has the spectrum and trace moments of A, not its matrix law."""
     return sample_A_batch(profile, 1, rng)[0]
 
 
 def sample_A_batch(
     profile: SingularProfile, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    s = profile.as_float_array()
-    u = haar_batch(profile.n, count, rng)
-    v = haar_batch(profile.n, count, rng)
-    return (u * s) @ v
+    """``count`` draws of T W from one ``haar_batch`` call: row i of each
+    Haar W scaled by s_i.  Each is unitarily similar to a draw of U T V."""
+    w = haar_batch(profile.n, count, rng)
+    w *= profile.as_float_array()[:, None]
+    return w
 
 
 def _power_batch(a: np.ndarray, k: int) -> np.ndarray:
@@ -125,7 +142,8 @@ def estimate_trace_moment(
     seed: int,
     mode: Literal["uu", "sq"] = "uu",
 ) -> MomentEstimate:
-    """Monte-Carlo estimate of a k-th trace moment of A = U T V.
+    """Monte-Carlo estimate of a k-th trace moment of A = U T V, sampled as
+    T W (see the module docstring; both statistics are similarity invariant).
 
     mode "uu" averages trace(A^k (A^k)^*), mode "sq" averages |trace(A^k)|^2.
     Both statistics are real; k = 1 with mode "uu" is deterministic, so its

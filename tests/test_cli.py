@@ -303,6 +303,19 @@ class TestMcMomentCommand:
         assert len(lines) == 2
         assert json.loads(lines[0])["stat"] == "trace_uu_mean"
 
+    def test_output_creates_missing_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "nd" / "sub"
+        code, out, err = run(
+            capsys,
+            "mc-moment",
+            "--k", "1", "--profile", "1,2",
+            "--samples", "100", "--seed", "0",
+            "--output", "run.csv", "--out", str(out_dir),
+        )
+        assert code == 0, err
+        assert err == ""
+        assert (out_dir / "run.csv").read_text().startswith("n,k,seed,stat,")
+        assert f"wrote {out_dir / 'run.csv'}" in out
 
     def test_non_finite_estimate_exits_one(self, capsys):
         code, out, err = run(capsys, "mc-moment", "--k", "40", "--profile", "1000,2000")
@@ -478,6 +491,31 @@ class TestSpectrumExperimentCommand:
         assert err == f"usage error: jobs must be at least 1, got {jobs}\n"
         assert out == ""
         assert not (tmp_path / "tail_records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload,jobs",
+        [
+            (
+                {"experiment": "tail", "profile": "1,2", "deltas": [0.1],
+                 "replicatons": 2},
+                "1",
+            ),
+            ({"experiment": "tail", "profile": "1,2", "deltas": [0.1]}, "0"),
+        ],
+    )
+    def test_rejected_run_creates_no_directory(self, capsys, tmp_path, payload, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out_dir = tmp_path / "fo" / "newdir"
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(out_dir), "--jobs", jobs,
+        )
+        assert code == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "fo").exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(

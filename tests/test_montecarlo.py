@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from ringmoments import montecarlo
 from ringmoments.exact_moments import trace_moment_sq, trace_moment_uu
 from ringmoments.montecarlo import (
     CSV_COLUMNS,
@@ -21,6 +22,7 @@ from ringmoments.montecarlo import (
     radius_rate_experiment,
     rng_stream,
     sample_A,
+    sample_A_batch,
     spectrum_records,
     tail_experiment,
     write_records_csv,
@@ -81,6 +83,51 @@ class TestSamplers:
         vals = np.abs(traces) ** 2
         se = vals.std(ddof=1) / math.sqrt(count)
         assert abs(vals.mean() - 1.0) < 4 * se
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_haar_law_trace_moments(self, n):
+        # Diaconis-Shahshahani: E |tr U^j|^2 = min(j, n); and E (tr U)^2 = 0,
+        # which a real (orthogonal) draw would put at 1
+        count = 20000
+        batch = haar_batch(n, count, rng_stream(23, n))
+        power = batch
+        for j in (1, 2, 3):
+            if j > 1:
+                power = power @ batch
+            vals = np.abs(np.trace(power, axis1=1, axis2=2)) ** 2
+            se = vals.std(ddof=1) / math.sqrt(count)
+            assert abs(vals.mean() - min(j, n)) < 4 * se, (j, vals.mean())
+        squares = np.trace(batch, axis1=1, axis2=2) ** 2
+        for part in (squares.real, squares.imag):
+            se = part.std(ddof=1) / math.sqrt(count)
+            assert abs(part.mean()) < 4 * se
+
+    def test_one_draw_is_similar_to_the_product(self):
+        # U T V = U (T V U) U^*, so U T V and T (V U) share the spectrum and
+        # every trace statistic the samplers estimate
+        rng = rng_stream(29)
+        n = 6
+        s = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+        u, v = haar_batch(n, 2, rng)
+        product = (u * s) @ v
+        single = s[:, None] * (v @ u)
+        assert np.allclose(
+            np.sort(np.abs(np.linalg.eigvals(product))),
+            np.sort(np.abs(np.linalg.eigvals(single))),
+            rtol=0, atol=1e-10,
+        )
+        for k in (1, 2, 3):
+            pk = np.linalg.matrix_power(product, k)
+            sk = np.linalg.matrix_power(single, k)
+            assert abs(np.sum(np.abs(pk) ** 2) - np.sum(np.abs(sk) ** 2)) < 1e-10
+            assert abs(abs(np.trace(pk)) ** 2 - abs(np.trace(sk)) ** 2) < 1e-10
+
+    def test_sample_A_batch_is_one_scaled_haar_draw(self):
+        profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
+        s = profile.as_float_array()
+        drawn = sample_A_batch(profile, 5, rng_stream(31, 2))
+        expected = s[:, None] * haar_batch(4, 5, rng_stream(31, 2))
+        assert drawn.tobytes() == expected.tobytes()
 
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
@@ -220,6 +267,19 @@ class TestSpectrumRecords:
     def test_replication_validation(self):
         with pytest.raises(ValueError):
             spectrum_records(ProfileFamily("constant", 1.0), [4], 0, 0)
+
+    def test_one_haar_draw_per_replication(self, monkeypatch):
+        calls = []
+        draw = montecarlo.haar_batch
+
+        def counted(n, count, rng):
+            calls.append((n, count))
+            return draw(n, count, rng)
+
+        monkeypatch.setattr(montecarlo, "haar_batch", counted)
+        fam = ProfileFamily("uniform-random", 0.5, 2.0)
+        spectrum_records(fam, [4, 6], replications=3, seed=8)
+        assert calls == [(4, 1)] * 3 + [(6, 1)] * 3
 
 
 class TestRateExperiment:
