@@ -12,6 +12,8 @@ Profiles are given as one of
 Output files land in --out when given, else in $RINGMOMENTS_OUTPUT_DIR, else
 in the working directory.  A missing output directory is created when the
 first file is written, so a run rejected before that leaves nothing behind.
+One that cannot be made, because it or an existing ancestor is not a
+directory, is a usage error before anything is computed.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from .haar_moments import MomentSpec, entry_moment, mc_entry_moment
+from .haar_moments import MomentSpec, entry_moment
 from .montecarlo import (
     EigensolverError,
     ExperimentRecord,
     ProfileFamily,
     estimate_trace_moment,
+    mc_entry_moment,
     radius_rate_experiment,
     tail_experiment,
     write_records_csv,
@@ -74,11 +77,27 @@ def parse_profile(text: str) -> SingularProfile:
     return SingularProfile(tuple(Fraction(tok) for tok in text.split(",")))
 
 
+def _output_dir(args) -> Path:
+    return Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
+
+
+def _check_output_dir(args) -> None:
+    """A usage error when the output directory cannot be made: it, or its
+    nearest existing ancestor, is not a directory.  Creates nothing, so a
+    run can check before it computes and still create the directory only
+    when it writes."""
+    out = _output_dir(args)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"cannot make output directory {str(out)!r}: "
+                         f"{str(existing)!r} is not a directory")
+
+
 def _output_path(args, name: str) -> Path:
     """The path of output file ``name``, creating its directory.  Called just
     before the file is written, so a run that fails first leaves no
     directory behind."""
-    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
+    out = _output_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
@@ -163,6 +182,8 @@ def _cmd_exact_moment(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     k = args.k
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     failures = 0
     print(f"counting check at k = {k}: word distance census over "
           f"endpoint-fixing alpha, l1, l2")
@@ -179,7 +200,7 @@ def _cmd_verify_lemmas(args) -> int:
                         )
                     if not chk.ok:
                         failures += 1
-    n = args.n if args.n else max(k * k, k)
+    n = max(k * k, k) if args.n is None else args.n
     if k * k < 2 * n:
         table = wg_class_table(k, n)
         print(f"magnitude check at k = {k}, n = {n}:")
@@ -190,6 +211,8 @@ def _cmd_verify_lemmas(args) -> int:
             print(f"class {lam}: |wg| = {abs(value)} <= {bound.value}: {ok}")
             if not ok:
                 failures += 1
+    else:
+        print("magnitude check = not applicable (k^2 >= 2n)")
     if failures:
         raise CrossCheckError(f"{failures} bound violations")
     print("all checks passed")
@@ -198,6 +221,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 def _cmd_mc_moment(args) -> int:
     profile = parse_profile(args.profile)
+    if args.output:
+        _check_output_dir(args)
     est = estimate_trace_moment(args.k, profile, args.samples, args.seed, args.mode)
     print(f"statistic = {est.statistic}  k = {args.k}  n = {profile.n}")
     print(f"mc mean = {est.mean!r}")
@@ -274,6 +299,7 @@ def _config_list(value, key: str, item) -> list:
 
 
 def _cmd_spectrum_experiment(args) -> int:
+    _check_output_dir(args)
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
@@ -384,7 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="exhaustive bound verifications")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=0, help="dimension for the magnitude check")
+    p.add_argument(
+        "--n", type=int, default=None,
+        help="dimension for the magnitude check, at least 1 (default max(k^2, k))",
+    )
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("mc-moment", help="Monte-Carlo trace moment")

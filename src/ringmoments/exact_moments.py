@@ -39,12 +39,38 @@ E |trace rho_lam(T) rho_lam(W)|^2 = trace rho_lam(T T^*) / d_lam(n)
 gives the sq sum.  The same result follows from the character expansion of
 the Weingarten function (Collins-Sniady 2006) summed over conjugacy classes.
 
-The uu factor.  (n + k - 1 - 2r) / k was fitted from Schur coefficients
-computed symbolically in n from the censuses below, at k <= 4, and is not
-derived here.  Inside the census orders (2 <= k <= MAX_UU_ORDER, every n)
-it is certified per (k, n) before any answer is returned; beyond them the uu
-formula is a verified conjecture: it meets the constant-profile oracle
-n c^(2k) at every k and n, and a Monte-Carlo check at k = 8.
+Derivation of uu.  trace(A^k (A^k)^*) = ||B^k||_F^2 with B = T W, since A
+is unitarily similar to T W.  For the matrix unit E_ba,
+(B^k)_{ab} = (1/k) d/dt trace((B (I + t E_ba))^k) at t = 0, and the hook
+expansion of the power sum above gives
+
+    (B^k)_{ab} = (1/k) sum_r (-1)^r trace(rho_r(T) rho_r(W) drho_r(E_ba)),
+
+with rho_r = rho_{h_r} and drho_r its Lie-algebra action.  Schur
+orthogonality removes the cross terms, as for sq, and gives
+E |trace(rho_lam(W) Y)|^2 = ||Y||_F^2 / d_lam(n).  With
+drho(E_ba)^* = drho(E_ab) the sum over a and b becomes
+
+    E ||B^k||_F^2 = (1/k^2) sum_r trace(rho_r(T T^*) K_r) / d_{h_r}(n),
+    K_r = sum_{a,b} drho_r(E_ab) drho_r(E_ba),
+
+and K_r is the quadratic Casimir of gl_n, which acts on the irreducible
+rho_lam as the scalar
+
+    c_lam = sum_i lam_i (lam_i + n + 1 - 2i) = k n + 2 sum(contents of lam).
+
+The contents of h_r are 0, 1, ..., k-r-1 along its row and -1, ..., -r down
+its column, so 2 sum(contents) = k (k - 1 - 2r) and
+c_{h_r} = k (n + k - 1 - 2r), a closed form with no character table.  With
+d_lam(n) = C_lam(n) / H_lam this is the uu sum.  Inside the census orders
+``_certify`` proves both sums a second, independent way before any answer
+is returned (see below).
+
+Positivity.  Every hook coefficient is positive: 2r <= 2 min(k, n) - 2 <
+n + k - 1, and every factor of C_r(n) is positive for r < n.  Schur
+polynomials have nonnegative monomial coefficients (Kostka numbers), so
+both moments are polynomials in x with nonnegative coefficients, and
+neither falls when one s_i rises.
 
 Evaluation is in integers: the x_i are put over their common denominator D,
 e_j and h_j of the numerators come from O(n k) integer recursions, the
@@ -124,7 +150,6 @@ from typing import Iterator, Literal, Sequence
 
 from .haar_moments import MomentSpec, census_value, entry_census
 from .permutations import (
-    IndexTuple,
     Permutation,
     compose_images,
     coset_representative_images,
@@ -149,12 +174,21 @@ class CrossCheckError(RuntimeError):
     """The two evaluation routes disagreed; the computation is unsound."""
 
 
-def _as_index_tuple(indices, n: int) -> IndexTuple:
-    if isinstance(indices, IndexTuple):
-        if indices.n != n:
-            raise ValueError(f"index tuple carries n={indices.n}, call asked for {n}")
-        return indices
-    return IndexTuple(tuple(indices), n)
+def _index_pattern(indices: Sequence[int], n: int) -> tuple[int, ...]:
+    """The equality pattern of an index tuple with entries in 1..n: entries
+    renamed 1, 2, ... in order of first appearance, so two tuples share a
+    pattern iff their positions agree and disagree in the same places.  A
+    ValueError names the first fault of an empty tuple, n < 1, or entries
+    outside 1..n, checked in that order."""
+    if len(indices) < 1:
+        raise ValueError("index tuple must be nonempty")
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    bad = [e for e in indices if not 1 <= e <= n]
+    if bad:
+        raise ValueError(f"entries {bad} outside 1..{n}")
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(e, len(names) + 1) for e in indices)
 
 
 @lru_cache(maxsize=None)
@@ -324,22 +358,22 @@ def route_censuses(
     return census_a, census_b
 
 
-def f_paths(indices, n: int) -> tuple[Fraction, Fraction]:
+def f_paths(indices: Sequence[int], n: int) -> tuple[Fraction, Fraction]:
     """Both evaluations of the uu inner average for one index tuple: the
     route-A and route-B censuses of its pattern (see ``route_censuses``)
     weighed by the degree-(k-1) Weingarten table at n."""
-    i = _as_index_tuple(indices, n)
-    k = i.k
+    pattern = _index_pattern(indices, n)
+    k = len(pattern)
     if k < 2:
         raise ValueError("uu inner average needs word length k >= 2")
     if k > MAX_UU_ORDER:
         raise ValueError(f"order {k} above supported ceiling {MAX_UU_ORDER}")
-    census_a, census_b = route_censuses("uu", i.pattern())
+    census_a, census_b = route_censuses("uu", pattern)
     table = wg_class_table(k - 1, n)
     return census_value(census_a, table), census_value(census_b, table)
 
 
-def f_i(indices, n: int) -> Fraction:
+def f_i(indices: Sequence[int], n: int) -> Fraction:
     """The uu inner average, cross-checked along both routes.
 
     >>> f_i((1, 2), 4)
@@ -354,22 +388,20 @@ def f_i(indices, n: int) -> Fraction:
     return route_a
 
 
-def g_paths(indices, n: int) -> tuple[Fraction, Fraction]:
+def g_paths(indices: Sequence[int], n: int) -> tuple[Fraction, Fraction]:
     """Both evaluations of the sq inner average for one index tuple: the
     route-A and route-B censuses of its pattern (see ``route_censuses``)
     weighed by the degree-k Weingarten table at n."""
-    i = _as_index_tuple(indices, n)
-    k = i.k
-    if k < 1:
-        raise ValueError("sq inner average needs word length k >= 1")
+    pattern = _index_pattern(indices, n)
+    k = len(pattern)
     if k > MAX_SQ_ORDER:
         raise ValueError(f"order {k} above supported ceiling {MAX_SQ_ORDER}")
-    census_a, census_b = route_censuses("sq", i.pattern())
+    census_a, census_b = route_censuses("sq", pattern)
     table = wg_class_table(k, n)
     return census_value(census_a, table), census_value(census_b, table)
 
 
-def g_i(indices, n: int) -> Fraction:
+def g_i(indices: Sequence[int], n: int) -> Fraction:
     """The sq inner average, cross-checked along both routes.
 
     >>> g_i((1,), 3)

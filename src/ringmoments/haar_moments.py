@@ -53,9 +53,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .montecarlo import MomentEstimate, _finish_estimate, haar_batch, rng_stream
 from .permutations import compose_images, cycle_type_of_product, invert_images
 from .weingarten import wg_class_table
 
@@ -214,25 +211,3 @@ def entry_moment(spec: MomentSpec) -> Fraction:
     if not census:
         return Fraction(0)
     return census_value(census, wg_class_table(spec.k, spec.n))
-
-
-def mc_entry_moment(spec: MomentSpec, samples: int, seed: int) -> MomentEstimate:
-    """Monte-Carlo check of ``entry_moment``: empirical mean of the real part
-    of the sampled word (the exact value is real; the imaginary part averages
-    to zero and is dropped)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = rng_stream(seed)
-    vals = np.empty(samples, dtype=float)
-    done = 0
-    while done < samples:
-        b = min(4096, samples - done)
-        u = haar_batch(spec.n, b, rng)
-        word = np.ones(b, dtype=complex)
-        for r, c in zip(spec.rows, spec.cols):
-            word = word * u[:, r - 1, c - 1]
-        for r, c in zip(spec.conj_rows, spec.conj_cols):
-            word = word * np.conj(u[:, r - 1, c - 1])
-        vals[done : done + b] = word.real
-        done += b
-    return _finish_estimate(vals, "entry_moment", spec.k, spec.n)

@@ -1,5 +1,5 @@
 """Seeded Monte-Carlo sampling: Haar unitaries, profile-constrained matrices,
-trace-moment estimators, and spectral-radius experiments.
+trace-moment and entry-moment estimators, and spectral-radius experiments.
 
 One Haar draw per sample.  With U, V independent Haar and T = diag(s),
 
@@ -7,11 +7,11 @@ One Haar draw per sample.  With U, V independent Haar and T = diag(s),
 
 and W = V U is again Haar.  So A = U T V is unitarily similar to T W, which
 has the same eigenvalues, the same tr A^k and the same tr A^k (A^k)^* for
-every k.  Every statistic sampled here is one of those, so each sample is
-drawn as ``s[:, None] * W`` from a single Haar matrix: no second QR and no
-matrix product.  The matrix law of T W is not that of U T V (its rows have
-the fixed norms s_i), so the samplers are for similarity-invariant
-statistics only.
+every k.  Every statistic of A sampled here is one of those, so each sample
+is drawn as ``s[:, None] * W`` from a single Haar matrix: no second QR and
+no matrix product.  The matrix law of T W is not that of U T V (its rows
+have the fixed norms s_i), so the samplers of A are for similarity-invariant
+statistics only.  ``mc_entry_moment`` samples the Haar matrix itself.
 
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
@@ -26,10 +26,11 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
+from .haar_moments import MomentSpec
 from .profiles import SingularProfile
 
 _BATCH = 4096
@@ -80,13 +81,6 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def sample_A(profile: SingularProfile, rng: np.random.Generator) -> np.ndarray:
-    """One draw of T W, with T = diag(profile) and W Haar: unitarily similar
-    to A = U T V with independent Haar factors (see the module docstring),
-    so it has the spectrum and trace moments of A, not its matrix law."""
-    return sample_A_batch(profile, 1, rng)[0]
-
-
 def sample_A_batch(
     profile: SingularProfile, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -119,10 +113,25 @@ class MomentEstimate:
     n: int
 
 
-def _finish_estimate(
-    vals: np.ndarray, statistic: str, k: int, n: int
+def _batched_estimate(
+    seed: int,
+    samples: int,
+    batch: Callable[[int, np.random.Generator], np.ndarray],
+    statistic: str,
+    k: int,
+    n: int,
 ) -> MomentEstimate:
-    samples = len(vals)
+    """Mean and standard error of ``samples`` values drawn on the stream
+    ``rng_stream(seed)`` in batches of at most ``_BATCH``: ``batch(b, rng)``
+    returns the next b values.  A non-finite mean or standard error raises
+    ``OverflowGuardError``."""
+    rng = rng_stream(seed)
+    vals = np.empty(samples, dtype=float)
+    done = 0
+    while done < samples:
+        b = min(_BATCH, samples - done)
+        vals[done : done + b] = batch(b, rng)
+        done += b
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow surfaces as a non-finite result, checked below
         mean = float(vals.mean())
@@ -155,21 +164,34 @@ def estimate_trace_moment(
         raise ValueError("need at least 2 samples for a standard error")
     if mode not in ("uu", "sq"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = rng_stream(seed)
-    vals = np.empty(samples, dtype=float)
-    done = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        a = sample_A_batch(profile, b, rng)
-        p = _power_batch(a, k)
-        with np.errstate(over="ignore"):  # _finish_estimate rejects inf
+
+    def batch(b: int, rng: np.random.Generator) -> np.ndarray:
+        p = _power_batch(sample_A_batch(profile, b, rng), k)
+        with np.errstate(over="ignore"):  # an inf is rejected with the estimate
             if mode == "uu":
-                vals[done : done + b] = np.sum(np.abs(p) ** 2, axis=(1, 2))
-            else:
-                tr = np.trace(p, axis1=1, axis2=2)
-                vals[done : done + b] = np.abs(tr) ** 2
-        done += b
-    return _finish_estimate(vals, f"trace_{mode}", k, profile.n)
+                return np.sum(np.abs(p) ** 2, axis=(1, 2))
+            return np.abs(np.trace(p, axis1=1, axis2=2)) ** 2
+
+    return _batched_estimate(seed, samples, batch, f"trace_{mode}", k, profile.n)
+
+
+def mc_entry_moment(spec: MomentSpec, samples: int, seed: int) -> MomentEstimate:
+    """Monte-Carlo check of ``haar_moments.entry_moment``: empirical mean of
+    the real part of the sampled word (the exact value is real; the
+    imaginary part averages to zero and is dropped)."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+
+    def batch(b: int, rng: np.random.Generator) -> np.ndarray:
+        u = haar_batch(spec.n, b, rng)
+        word = np.ones(b, dtype=complex)
+        for r, c in zip(spec.rows, spec.cols):
+            word = word * u[:, r - 1, c - 1]
+        for r, c in zip(spec.conj_rows, spec.conj_cols):
+            word = word * np.conj(u[:, r - 1, c - 1])
+        return word.real
+
+    return _batched_estimate(seed, samples, batch, "entry_moment", spec.k, spec.n)
 
 
 def extreme_eigenvalues(a: np.ndarray) -> tuple[float, float]:
@@ -227,7 +249,7 @@ def _spectrum_replication(
 ) -> list[ExperimentRecord]:
     rng = rng_stream(seed, stream_index)
     profile = family.realize(n, rng)
-    a_mat = sample_A(profile, rng)
+    a_mat = sample_A_batch(profile, 1, rng)[0]
     try:
         hi, lo = extreme_eigenvalues(a_mat)
     except np.linalg.LinAlgError as exc:

@@ -208,10 +208,6 @@ class Permutation:
         equal to degree minus number of cycles (fixed points counted)."""
         return self.degree - self.num_cycles()
 
-    def support(self) -> tuple[int, ...]:
-        """Points moved by the permutation, ascending."""
-        return tuple(x for x in range(1, self.degree + 1) if self(x) != x)
-
     def __str__(self) -> str:
         moved = [c for c in self.cycles() if len(c) > 1]
         if not moved:
@@ -237,39 +233,6 @@ def enumerate_sk0(k: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """A tuple of matrix indices i = (i_1, ..., i_k) with entries in 1..n."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if len(self.indices) < 1:
-            raise ValueError("index tuple must be nonempty")
-        if self.n < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        bad = [e for e in self.indices if not 1 <= e <= self.n]
-        if bad:
-            raise ValueError(f"entries {bad} outside 1..{self.n}")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    def pattern(self) -> tuple[int, ...]:
-        """Canonical equality pattern: entries renamed 1, 2, ... in order of
-        first appearance.  Two tuples share a pattern iff positions agree and
-        disagree in the same places."""
-        names: dict[int, int] = {}
-        out = []
-        for e in self.indices:
-            if e not in names:
-                names[e] = len(names) + 1
-            out.append(names[e])
-        return tuple(out)
-
-
 def universe_images(k: int, universe: Literal["sk", "sk0"]) -> list[tuple[int, ...]]:
     """Image tuples of S_k ("sk") or of its endpoint-fixing subgroup
     ("sk0"), in lexicographic order."""
@@ -289,15 +252,6 @@ def stabilizer_images(
     every position l."""
     positions = range(len(indices))
     return [a for a in pool if all(indices[a[l] - 1] == indices[l] for l in positions)]
-
-
-def stabilizer(i: IndexTuple, universe: Literal["sk", "sk0"]) -> list[Permutation]:
-    """All permutations a in the chosen universe with i_{a(l)} == i_l for every l.
-
-    ``universe`` selects S_k ("sk") or the endpoint-fixing subgroup ("sk0").
-    """
-    pool = universe_images(i.k, universe)
-    return [Permutation(a) for a in stabilizer_images(i.indices, pool)]
 
 
 def coset_representative_images(
@@ -323,13 +277,3 @@ def coset_representative_images(
         reps.append(phi)
         seen.update(compose_images(a, phi) for a in stab)
     return reps
-
-
-def coset_representatives(
-    universe: Sequence[Permutation], stab: Sequence[Permutation]
-) -> list[Permutation]:
-    """``coset_representative_images`` on Permutation objects."""
-    reps = coset_representative_images(
-        [p.images for p in universe], [a.images for a in stab]
-    )
-    return [Permutation(p) for p in reps]

@@ -24,6 +24,9 @@ import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
+# how far ``SingularProfile.to_exact`` may move an entry
+TO_EXACT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SingularProfile:
@@ -106,18 +109,15 @@ class SingularProfile:
     def as_float_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=float)
 
-    def to_exact(self, tol: float = 1e-9) -> "SingularProfile":
+    def to_exact(self) -> "SingularProfile":
         """Rational approximation of a float profile.  Each entry moves by at
-        most ``tol``; entries already exact are kept."""
+        most ``TO_EXACT_TOL``; entries already exact are kept."""
         if self.is_exact:
             return self
         approx = []
         for v in self.values:
             frac = Fraction(v).limit_denominator(10**12)
-            if abs(float(frac) - v) > tol:
-                raise ValueError(f"cannot approximate {v} within {tol}")
+            if abs(float(frac) - v) > TO_EXACT_TOL:
+                raise ValueError(f"cannot approximate {v} within {TO_EXACT_TOL}")
             approx.append(frac)
         return SingularProfile(tuple(approx))
-
-    def scaled(self, factor: Scalar) -> "SingularProfile":
-        return SingularProfile(tuple(v * factor for v in self.values))

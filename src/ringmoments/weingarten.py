@@ -315,14 +315,13 @@ class AltBounds:
     catalan_bound: float | None
 
 
-def wg_alt_bounds(
-    k: int, n: int, pi: Permutation, j: int, kj_constant: float = 1.0
-) -> AltBounds:
+def wg_alt_bounds(k: int, n: int, pi: Permutation, j: int) -> AltBounds:
     """Two alternative bounds on |wg|.
 
-    * power bound: kj_constant * n^(-k - d(1 - 2/j)), applicable when j >= 2
-      and k^j <= n.  The prefactor constant is not pinned down by the source
-      material; it is configurable and defaults to 1.
+    * power bound: n^(-k - d(1 - 2/j)), applicable when j >= 2 and k^j <= n.
+      The source leaves the prefactor an unspecified absolute constant; as
+      in ``BoundReport``, the report does not apply it, so the value is the
+      bound's core, never a certified bound.
     * Catalan bound: (3 * catalan(k-1) / 2) * n^(-k - d), applicable when
       k^(3/2) <= n.
     """
@@ -333,7 +332,7 @@ def wg_alt_bounds(
     d = pi.transposition_distance()
     power: float | None = None
     if k**j <= n:
-        power = kj_constant * float(n) ** -(k + d * (1 - 2 / j))
+        power = float(n) ** -(k + d * (1 - 2 / j))
     catalan: float | None = None
     if k**3 <= n * n:
         cat = math.comb(2 * (k - 1), k - 1) // k

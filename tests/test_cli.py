@@ -240,6 +240,21 @@ class TestVerifyLemmasCommand:
         assert code == 0
         assert "n = 12" in out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_dimension_below_one(self, capsys, n):
+        code, out, err = run(capsys, "verify-lemmas", "--k", "3", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --n must be at least 1, got {n}\n"
+
+    def test_magnitude_check_not_applicable(self, capsys):
+        # k^2 = 9 >= 2n = 8: no bound to check, and the run says so
+        code, out, _ = run(capsys, "verify-lemmas", "--k", "3", "--n", "4")
+        assert code == 0
+        assert "magnitude check = not applicable (k^2 >= 2n)" in out
+        assert "class " not in out
+        assert out.endswith("all checks passed\n")
+
 
 class TestMcMomentCommand:
     def test_compare_exact(self, capsys):
@@ -316,6 +331,24 @@ class TestMcMomentCommand:
         assert err == ""
         assert (out_dir / "run.csv").read_text().startswith("n,k,seed,stat,")
         assert f"wrote {out_dir / 'run.csv'}" in out
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_under_a_file_exits_two_before_the_estimate(self, capsys, tmp_path, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out_dir = afile / sub if sub else afile
+        code, out, err = run(
+            capsys,
+            "mc-moment",
+            "--k", "1", "--profile", "1,2",
+            "--samples", "100", "--seed", "0",
+            "--output", "r.csv", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "is not a directory" in err
+        assert afile.read_text() == ""
 
     def test_non_finite_estimate_exits_one(self, capsys):
         code, out, err = run(capsys, "mc-moment", "--k", "40", "--profile", "1000,2000")
@@ -475,6 +508,23 @@ class TestSpectrumExperimentCommand:
     def test_unknown_key(self, capsys, tmp_path, payload, key):
         err = self._usage_error(capsys, tmp_path, payload)
         assert "unknown key" in err and repr(key) in err
+
+    def test_output_under_a_file_exits_two_before_the_run(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replications": 2}
+        ))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(afile / "sub"), "--jobs", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot make output directory ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one(self, capsys, tmp_path, jobs):

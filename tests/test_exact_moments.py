@@ -33,7 +33,7 @@ from ringmoments.exact_moments import (
 )
 from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
 from ringmoments.montecarlo import estimate_trace_moment
-from ringmoments.permutations import IndexTuple, Permutation, enumerate_sk0, stabilizer
+from ringmoments.permutations import Permutation, enumerate_sk0, stabilizer_images, universe_images
 from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import (
@@ -155,6 +155,24 @@ class TestInnerAverages:
             assert g_i((1,), n) == Fraction(1, n)
 
 
+class TestIndexPattern:
+    def test_pattern_canonicalization(self):
+        assert exact_moments._index_pattern((3, 5, 3, 1), 5) == (1, 2, 1, 3)
+        assert exact_moments._index_pattern((2, 2, 2), 2) == (1, 1, 1)
+
+    def test_validation(self):
+        # the checks run in this order, so each call names its first fault
+        for paths in (f_paths, g_paths, f_i, g_i):
+            with pytest.raises(ValueError, match=r"^index tuple must be nonempty$"):
+                paths((), 0)
+            with pytest.raises(ValueError, match=r"^ambient dimension must be at least 1$"):
+                paths((0, 1), 0)
+            with pytest.raises(ValueError, match=r"^entries \[0\] outside 1\.\.2$"):
+                paths((0, 1), 2)
+            with pytest.raises(ValueError, match=r"^entries \[3\] outside 1\.\.2$"):
+                paths((1, 3), 2)
+
+
 class TestRouteCensuses:
     """Route A and route B must produce the same Weingarten census, cycle
     type by cycle type, for every pattern in the supported range."""
@@ -234,7 +252,7 @@ class TestRouteCensuses:
         from ringmoments.weingarten import wg_class_table
 
         for indices, n in (((2, 7, 2, 4), 8), ((3, 3, 1), 3)):
-            census_a, _ = route_censuses("uu", IndexTuple(indices, n).pattern())
+            census_a, _ = route_censuses("uu", exact_moments._index_pattern(indices, n))
             expect = census_value(census_a, wg_class_table(len(indices) - 1, n))
             assert f_paths(indices, n) == (expect, expect)
 
@@ -364,7 +382,7 @@ class TestStructuralProperties:
     def test_scaling_covariance(self):
         profile = ramp(3)
         c = Fraction(5, 3)
-        scaled = profile.scaled(c)
+        scaled = SingularProfile(tuple(c * v for v in profile.values))
         for k in (1, 2, 3):
             assert trace_moment_uu(k, scaled) == c ** (2 * k) * trace_moment_uu(k, profile)
             assert trace_moment_sq(k, scaled) == c ** (2 * k) * trace_moment_sq(k, profile)
@@ -510,6 +528,33 @@ class TestHookSums:
         with pytest.raises(ValueError):
             exact_moments._hook_coefficients("xx", 3, 2)
 
+    def test_hook_coefficients_are_positive(self):
+        # every hook with at most n rows gets a positive weight: uu's factor
+        # n + k - 1 - 2r stays positive for r < min(k, n)
+        for statistic in ("uu", "sq"):
+            for k in range(1, 41):
+                for n in range(1, 42):
+                    nums, den = exact_moments._hook_coefficients(statistic, k, n)
+                    assert len(nums) == min(k, n) and den > 0
+                    assert all(a > 0 for a in nums), (statistic, k, n)
+
+    def test_raising_one_value_never_lowers_a_moment(self):
+        # nonnegative coefficients in x_i = s_i^2; the x_i^k term alone has
+        # coefficient a_0 > 0, so the moment even rises strictly
+        import random
+
+        rng = random.Random(20261019)
+        for k in range(1, 13):
+            for n in range(1, 7):
+                profile = seeded_profile(rng, n)
+                base = (trace_moment_uu(k, profile), trace_moment_sq(k, profile))
+                for i in range(n):
+                    values = list(profile.values)
+                    values[i] += Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                    raised = SingularProfile.from_values(values)
+                    assert trace_moment_uu(k, raised) > base[0], (k, profile.values, i)
+                    assert trace_moment_sq(k, raised) > base[1], (k, profile.values, i)
+
     def test_certified_once_per_statistic_order_and_dimension(self, monkeypatch):
         calls = []
         real = exact_moments.f_paths
@@ -523,7 +568,7 @@ class TestHookSums:
         profile = ramp(5)
         trace_moment_uu(4, profile)
         assert len(calls) == 15  # Bell(4) patterns, all with at most 5 blocks
-        trace_moment_uu(4, profile.scaled(Fraction(1, 3)))
+        trace_moment_uu(4, SingularProfile(tuple(v / 3 for v in profile.values)))
         assert len(calls) == 15
         trace_moment_uu(9, ramp(3))  # beyond the census orders: no census
         assert len(calls) == 15
@@ -770,7 +815,7 @@ class TestCompositionCensus:
                 l0 = l1 = Fraction(0)
                 for i in itertools.product(range(1, n + 1), repeat=k):
                     weight = math.prod(x[v - 1] for v in i)
-                    l0 += weight * len(stabilizer(IndexTuple(i, n), "sk0"))
+                    l0 += weight * len(stabilizer_images(i, universe_images(k, "sk0")))
                     l1 += weight * math.prod(math.factorial(i.count(v)) for v in set(i))
                 links = composition_census(k, profile).links
                 assert links[:2] == (l0, l1), (seed, k, profile.values)
@@ -806,14 +851,12 @@ class TestCompositionCensus:
         import math
 
         k, n = 4, 3
+        universe = universe_images(k, "sk0")
         for i in itertools.product(range(1, n + 1), repeat=k):
-            from ringmoments.permutations import IndexTuple, stabilizer
-
-            tup = IndexTuple(i, n)
             sizes = {}
             for v in i:
                 sizes[v] = sizes.get(v, 0) + 1
             cap = 1
             for c in sizes.values():
                 cap *= math.factorial(c)
-            assert len(stabilizer(tup, "sk0")) <= cap
+            assert len(stabilizer_images(i, universe)) <= cap

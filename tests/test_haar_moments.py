@@ -20,8 +20,8 @@ from ringmoments.haar_moments import (
     census_value,
     entry_census,
     entry_moment,
-    mc_entry_moment,
 )
+from ringmoments.montecarlo import mc_entry_moment
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import pairwise_entry_census
 

@@ -10,6 +10,7 @@ import pytest
 
 from ringmoments import montecarlo
 from ringmoments.exact_moments import trace_moment_sq, trace_moment_uu
+from ringmoments.haar_moments import MomentSpec
 from ringmoments.montecarlo import (
     CSV_COLUMNS,
     ExperimentRecord,
@@ -19,9 +20,9 @@ from ringmoments.montecarlo import (
     estimate_trace_moment,
     extreme_eigenvalues,
     haar_batch,
+    mc_entry_moment,
     radius_rate_experiment,
     rng_stream,
-    sample_A,
     sample_A_batch,
     spectrum_records,
     tail_experiment,
@@ -132,7 +133,7 @@ class TestSamplers:
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
         rng = rng_stream(5)
-        a = sample_A(profile, rng)
+        a = sample_A_batch(profile, 1, rng)[0]
         sv = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(sorted(sv), sorted(map(float, profile.values)), atol=1e-8)
 
@@ -140,14 +141,14 @@ class TestSamplers:
         profile = SingularProfile.uniform_grid(0.5, 4.0, 12)
         rng = rng_stream(9)
         for _ in range(25):
-            hi, lo = extreme_eigenvalues(sample_A(profile, rng))
+            hi, lo = extreme_eigenvalues(sample_A_batch(profile, 1, rng)[0])
             assert hi <= float(profile.M) + 1e-8
             assert lo >= -1e-8
 
     def test_unitary_case_pins_both_extremes(self):
         profile = SingularProfile.constant(1.0, 8)
         rng = rng_stream(13)
-        hi, lo = extreme_eigenvalues(sample_A(profile, rng))
+        hi, lo = extreme_eigenvalues(sample_A_batch(profile, 1, rng)[0])
         assert abs(hi - 1.0) < 1e-10
         assert abs(lo - 1.0) < 1e-10
 
@@ -195,6 +196,27 @@ class TestEstimates:
         c = estimate_trace_moment(2, profile, samples=500, seed=11)
         assert a == b
         assert a.mean != c.mean
+
+    def test_estimates_draw_batches_in_turn_from_one_stream(self):
+        # one batch of _BATCH draws and a short one, both from rng_stream(seed)
+        sizes = (montecarlo._BATCH, 3)
+        profile = SingularProfile.from_values([0.5, 1.0, 2.0])
+        rng = rng_stream(7)
+        traces = np.concatenate([
+            np.abs(np.trace(a @ a, axis1=1, axis2=2)) ** 2
+            for a in (sample_A_batch(profile, b, rng) for b in sizes)
+        ])
+        est = estimate_trace_moment(2, profile, sum(sizes), 7, "sq")
+        assert est.mean == float(traces.mean())
+        assert est.std_error == float(traces.std(ddof=1) / math.sqrt(sum(sizes)))
+
+        spec = MomentSpec(3, (1, 2), (2, 1), (1, 2), (2, 1))
+        rng = rng_stream(7)
+        words = np.concatenate([
+            (u[:, 0, 1] * u[:, 1, 0] * np.conj(u[:, 0, 1]) * np.conj(u[:, 1, 0])).real
+            for u in (haar_batch(3, b, rng) for b in sizes)
+        ])
+        assert mc_entry_moment(spec, sum(sizes), 7).mean == float(words.mean())
 
     def test_validation(self):
         profile = SingularProfile.from_values([1.0, 2.0])

@@ -16,15 +16,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringmoments.permutations import (
-    IndexTuple,
     Permutation,
     all_permutations,
     compose_images,
-    coset_representatives,
+    coset_representative_images,
     cycle_count_of_images,
     enumerate_sk0,
     invert_images,
-    stabilizer,
+    stabilizer_images,
+    universe_images,
 )
 from ringmoments.weingarten import monotone_counts
 
@@ -212,52 +212,41 @@ class TestGroupEnumeration:
                 assert p(1) == 1 and p(k) == k
 
     def test_stabilizer_fixes_tuple(self):
-        i = IndexTuple((1, 2, 1, 2), 3)
+        i = (1, 2, 1, 2)
         for mode in ("sk", "sk0"):
-            for p in stabilizer(i, mode):
-                assert tuple(i.indices[p(x) - 1] for x in range(1, 5)) == i.indices
+            stab = stabilizer_images(i, universe_images(4, mode))
+            assert stab
+            for a in stab:
+                assert tuple(i[a[x - 1] - 1] for x in range(1, 5)) == i
 
     def test_coset_representatives_partition_group(self):
-        i = IndexTuple((1, 1, 2, 1), 2)
-        universe = list(enumerate_sk0(4))
-        stab = stabilizer(i, "sk0")
-        reps = coset_representatives(universe, stab)
+        universe = universe_images(4, "sk0")
+        stab = stabilizer_images((1, 1, 2, 1), universe)
+        reps = coset_representative_images(universe, stab)
         assert len(reps) * len(stab) == len(universe)
-        covered = {a * phi for phi in reps for a in stab}
+        covered = {compose_images(a, phi) for phi in reps for a in stab}
         assert covered == set(universe)
 
     def test_coset_representatives_need_the_identity(self):
-        universe = list(enumerate_sk0(4))
-        swap = Permutation.from_cycles(4, [(2, 3)])
+        universe = universe_images(4, "sk0")
+        swap = Permutation.from_cycles(4, [(2, 3)]).images
         with pytest.raises(ValueError, match="identity"):
-            coset_representatives(universe, [swap])
+            coset_representative_images(universe, [swap])
         with pytest.raises(ValueError, match="identity"):
-            coset_representatives(universe, [])
+            coset_representative_images(universe, [])
 
     def test_coset_representatives_need_the_stabilizer_inside(self):
-        universe = list(enumerate_sk0(4))
-        outside = [Permutation.identity(4), Permutation.from_cycles(4, [(1, 2)])]
+        universe = universe_images(4, "sk0")
+        outside = [(1, 2, 3, 4), Permutation.from_cycles(4, [(1, 2)]).images]
         with pytest.raises(ValueError, match="not contained"):
-            coset_representatives(universe, outside)
+            coset_representative_images(universe, outside)
 
     def test_coset_representatives_need_a_closed_stabilizer(self):
-        universe = list(all_permutations(3))
+        universe = universe_images(3, "sk")
         # the identity and one 3-cycle: the square of the 3-cycle is missing
-        unclosed = [Permutation.identity(3), Permutation.full_cycle(3)]
+        unclosed = [(1, 2, 3), Permutation.full_cycle(3).images]
         with pytest.raises(ValueError, match="not closed"):
-            coset_representatives(universe, unclosed)
-
-
-class TestIndexTuple:
-    def test_pattern_canonicalization(self):
-        assert IndexTuple((3, 5, 3, 1), 5).pattern() == (1, 2, 1, 3)
-        assert IndexTuple((2, 2, 2), 2).pattern() == (1, 1, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexTuple((0, 1), 2)
-        with pytest.raises(ValueError):
-            IndexTuple((1, 3), 2)
+            coset_representative_images(universe, unclosed)
 
 
 @st.composite

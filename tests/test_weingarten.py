@@ -301,20 +301,14 @@ class TestAltBounds:
         assert wg_alt_bounds(2, 4, Permutation.transposition(2, 1, 2), j=2).power_bound is not None
 
     def test_power_bound_values(self):
-        # K_j defaults to 1 (the source leaves the constant unspecified), so
-        # only the functional form is checked, never domination of the exact value
+        # the source leaves the constant K_j unspecified and it is not applied,
+        # so only the functional form is checked, never domination of the exact value
         pi = Permutation.transposition(2, 1, 2)
         alt = wg_alt_bounds(2, 16, pi, j=2)
         # exponent k + d(1 - 2/j) = 2 + 0 with j=2
         assert alt.power_bound == pytest.approx(16.0 ** -2)
         alt3 = wg_alt_bounds(2, 16, pi, j=3)
         assert alt3.power_bound == pytest.approx(16.0 ** -(2 + 1.0 / 3.0))
-
-    def test_power_bound_scales_with_constant(self):
-        pi = Permutation.transposition(2, 1, 2)
-        base = wg_alt_bounds(2, 16, pi, j=2)
-        doubled = wg_alt_bounds(2, 16, pi, j=2, kj_constant=2.0)
-        assert doubled.power_bound == pytest.approx(2 * base.power_bound)
 
     def test_catalan_bound(self):
         pi = Permutation.identity(2)
