@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .exact_moments import (
+    MAX_COUNTING_ORDER,
     CrossCheckError,
     composition_census,
     theorem_bound,
@@ -182,6 +184,9 @@ def _cmd_exact_moment(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     k = args.k
+    # checked before the header, so a rejected order prints nothing
+    if not 2 <= k <= MAX_COUNTING_ORDER:
+        raise ValueError(f"--k must lie in 2..{MAX_COUNTING_ORDER}, got {k}")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     failures = 0
@@ -285,10 +290,17 @@ def _config_int(value, key: str) -> int:
 
 
 def _config_number(value, key: str) -> float:
-    """A JSON number, or a usage error naming the key."""
+    """A finite JSON number, or a usage error naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    # json reads NaN, Infinity and -Infinity as floats, and integers of any size
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _config_list(value, key: str, item) -> list:

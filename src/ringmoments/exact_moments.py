@@ -92,8 +92,10 @@ independent routes:
 
 * route A counts the matching pairs of the entry moments of representatives
   of index reorderings that leave the tuple fixed (one representative per
-  stabilizer coset), each census counted per coset of the matchings and
-  built once per word shape (``haar_moments.entry_census``),
+  stabilizer coset, the cosets enumerated as Young-subgroup representatives
+  by ``permutations.young_subgroup_images``), each census counted per coset
+  of the matchings and built once per word shape
+  (``haar_moments.entry_census``),
 * route B pushes the delta constraints through the Weingarten sum and counts
   the conjugation-and-transposition dressed words
   w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
@@ -152,11 +154,9 @@ from .haar_moments import MomentSpec, census_value, entry_census
 from .permutations import (
     Permutation,
     compose_images,
-    coset_representative_images,
     cycle_type_of_product,
     invert_images,
-    stabilizer_images,
-    universe_images,
+    young_subgroup_images,
 )
 from .profiles import SingularProfile
 from .weingarten import wg_class_table
@@ -166,6 +166,8 @@ from .weingarten import wg_class_table
 # sq one word length k; larger orders are served without a census.
 MAX_UU_ORDER = 6
 MAX_SQ_ORDER = 5
+# The exhaustive counting lemma runs over (k-2)! reorderings per alpha.
+MAX_COUNTING_ORDER = 7
 
 Statistic = Literal["uu", "sq"]
 
@@ -191,23 +193,28 @@ def _index_pattern(indices: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(names.setdefault(e, len(names) + 1) for e in indices)
 
 
-@lru_cache(maxsize=None)
-def _universe(statistic: Statistic, k: int) -> tuple[tuple[int, ...], ...]:
-    """The reorderings a statistic runs over, as image tuples: the
-    endpoint-fixing ones for uu, all of S_k for sq."""
+def _young_labels(statistic: Statistic, labels: Sequence[int]) -> tuple[int, ...]:
+    """Labels whose Young subgroup holds the reorderings of the statistic's
+    universe that keep ``labels``: for uu the endpoints get labels of their
+    own.  With all labels equal it is the universe itself."""
     if statistic not in ("uu", "sq"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    return tuple(universe_images(k, "sk0" if statistic == "uu" else "sk"))
-
-
-def _pattern_stabilizer(statistic: Statistic, pattern: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Index symmetries of the pattern inside the statistic's universe, as
-    image tuples."""
-    return stabilizer_images(pattern, _universe(statistic, len(pattern)))
+    if statistic == "sq":
+        return tuple(labels)
+    if len(labels) < 2:
+        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
+    # pattern labels are positive, so 0 and -1 are the endpoints' own
+    return (0,) + tuple(labels[1:-1]) + (-1,)
 
 
 def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     """Route A: the entry censuses of one word pair per stabilizer coset.
+
+    The cosets stab * phi are enumerated as Young-subgroup representatives:
+    ``young_subgroup_images`` of the universe's labels, refined by the
+    pattern's, gives one p per left coset p stab, and phi = p^-1 runs over
+    one element of each right coset.  Each coset is one distinct
+    rearrangement of the pattern, the word i_{phi(1)} ... i_{phi(k)}.
 
     uu: for each representative phi of the endpoint-fixing reorderings, the
     word
@@ -220,8 +227,8 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         u[i_1, i_2] u[i_2, i_3] ... u[i_k, i_1]
         * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k)}, i_{phi(1)}]).
     """
-    universe = _universe(statistic, len(pattern))
-    stab = _pattern_stabilizer(statistic, pattern)
+    universe = _young_labels(statistic, (1,) * len(pattern))
+    stab = _young_labels(statistic, pattern)
 
     def ends(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # row and column indices of u[w_1, w_2] u[w_2, w_3] ..., open for uu,
@@ -231,8 +238,8 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         return word, word[1:] + word[:1]
 
     census: Counter = Counter()
-    for phi in coset_representative_images(universe, stab):
-        permuted = tuple(pattern[x - 1] for x in phi)
+    for p in young_subgroup_images(universe, fine=stab):
+        permuted = tuple(pattern[x - 1] for x in invert_images(p))
         spec = MomentSpec(max(pattern), *ends(pattern), *ends(permuted))
         census.update(entry_census(spec))
     return census
@@ -247,7 +254,7 @@ def _cycle_conjugates(statistic: Statistic, k: int) -> tuple[tuple[tuple[int, ..
     return tuple(
         Counter(
             compose_images(compose_images(phi, c_inv), invert_images(phi))
-            for phi in _universe(statistic, k)
+            for phi in young_subgroup_images(_young_labels(statistic, (1,) * k))
         ).items()
     )
 
@@ -310,7 +317,7 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         ]
     betas = Counter(
         compose_images(invert_images(alpha), tail)
-        for alpha in _pattern_stabilizer(statistic, pattern)
+        for alpha in young_subgroup_images(_young_labels(statistic, pattern))
         for tail in c_dressed
     )
     census: Counter = Counter()
@@ -358,19 +365,43 @@ def route_censuses(
     return census_a, census_b
 
 
+def _inner_paths(
+    statistic: Statistic, indices: Sequence[int], n: int
+) -> tuple[Fraction, Fraction]:
+    """Both evaluations of the statistic's inner average for one index
+    tuple: the route-A and route-B censuses of its pattern weighed by the
+    Weingarten table at n, of degree k-1 for uu and k for sq."""
+    pattern = _index_pattern(indices, n)
+    k = len(pattern)
+    if statistic == "uu" and k < 2:
+        raise ValueError("uu inner average needs word length k >= 2")
+    ceiling = MAX_UU_ORDER if statistic == "uu" else MAX_SQ_ORDER
+    if k > ceiling:
+        raise ValueError(f"order {k} above supported ceiling {ceiling}")
+    census_a, census_b = route_censuses(statistic, pattern)
+    table = wg_class_table(k - 1 if statistic == "uu" else k, n)
+    return census_value(census_a, table), census_value(census_b, table)
+
+
+def _inner_average(statistic: Statistic, indices: Sequence[int], n: int) -> Fraction:
+    """The statistic's inner average from ``f_paths`` or ``g_paths``, after
+    checking that the two routes agree."""
+    # looked up by public name, so a wrapper installed on either sees the call
+    paths = f_paths if statistic == "uu" else g_paths
+    route_a, route_b = paths(indices, n)
+    if route_a != route_b:
+        raise CrossCheckError(
+            f"{statistic} inner average mismatch for i={tuple(indices)}, n={n}: "
+            f"{route_a} vs {route_b}"
+        )
+    return route_a
+
+
 def f_paths(indices: Sequence[int], n: int) -> tuple[Fraction, Fraction]:
     """Both evaluations of the uu inner average for one index tuple: the
     route-A and route-B censuses of its pattern (see ``route_censuses``)
     weighed by the degree-(k-1) Weingarten table at n."""
-    pattern = _index_pattern(indices, n)
-    k = len(pattern)
-    if k < 2:
-        raise ValueError("uu inner average needs word length k >= 2")
-    if k > MAX_UU_ORDER:
-        raise ValueError(f"order {k} above supported ceiling {MAX_UU_ORDER}")
-    census_a, census_b = route_censuses("uu", pattern)
-    table = wg_class_table(k - 1, n)
-    return census_value(census_a, table), census_value(census_b, table)
+    return _inner_paths("uu", indices, n)
 
 
 def f_i(indices: Sequence[int], n: int) -> Fraction:
@@ -379,26 +410,14 @@ def f_i(indices: Sequence[int], n: int) -> Fraction:
     >>> f_i((1, 2), 4)
     Fraction(1, 4)
     """
-    route_a, route_b = f_paths(indices, n)
-    if route_a != route_b:
-        raise CrossCheckError(
-            f"uu inner average mismatch for i={tuple(indices)}, n={n}: "
-            f"{route_a} vs {route_b}"
-        )
-    return route_a
+    return _inner_average("uu", indices, n)
 
 
 def g_paths(indices: Sequence[int], n: int) -> tuple[Fraction, Fraction]:
     """Both evaluations of the sq inner average for one index tuple: the
     route-A and route-B censuses of its pattern (see ``route_censuses``)
     weighed by the degree-k Weingarten table at n."""
-    pattern = _index_pattern(indices, n)
-    k = len(pattern)
-    if k > MAX_SQ_ORDER:
-        raise ValueError(f"order {k} above supported ceiling {MAX_SQ_ORDER}")
-    census_a, census_b = route_censuses("sq", pattern)
-    table = wg_class_table(k, n)
-    return census_value(census_a, table), census_value(census_b, table)
+    return _inner_paths("sq", indices, n)
 
 
 def g_i(indices: Sequence[int], n: int) -> Fraction:
@@ -407,13 +426,7 @@ def g_i(indices: Sequence[int], n: int) -> Fraction:
     >>> g_i((1,), 3)
     Fraction(1, 3)
     """
-    route_a, route_b = g_paths(indices, n)
-    if route_a != route_b:
-        raise CrossCheckError(
-            f"sq inner average mismatch for i={tuple(indices)}, n={n}: "
-            f"{route_a} vs {route_b}"
-        )
-    return route_a
+    return _inner_average("sq", indices, n)
 
 
 def equality_patterns(k: int) -> Iterator[tuple[int, ...]]:
@@ -659,8 +672,8 @@ def verify_counting_lemma(
     k - 1 - len(lam)."""
     if k < 2:
         raise ValueError("needs degree k >= 2")
-    if k > 7:
-        raise ValueError("exhaustive count supported for k <= 7")
+    if k > MAX_COUNTING_ORDER:
+        raise ValueError(f"exhaustive count supported for k <= {MAX_COUNTING_ORDER}")
     if not (1 <= l1 <= k - 1 and 1 <= l2 <= k - 1):
         raise ValueError(f"l1, l2 must lie in 1..{k - 1}")
     if alpha.degree != k or alpha(1) != 1 or alpha(k) != k:

@@ -45,7 +45,6 @@ it names.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -53,7 +52,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .permutations import compose_images, cycle_type_of_product, invert_images
+from .permutations import (
+    compose_images,
+    cycle_type_of_product,
+    invert_images,
+    young_subgroup_images,
+)
 from .weingarten import wg_class_table
 
 # The census enumerates |Y| |Z| / |Y n Z| products (see the module
@@ -88,51 +92,18 @@ class MomentSpec:
         return len(self.rows)
 
 
-def _positions(labels: Sequence) -> dict:
-    """label -> the positions (1-based, ascending) holding it."""
-    positions: dict = {}
-    for pos, v in enumerate(labels, 1):
-        positions.setdefault(v, []).append(pos)
-    return positions
-
-
 def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | None:
     """One permutation sigma with src[l] == dst[sigma(l)] for every position
     l (the j-th occurrence of each value goes to its j-th occurrence), or
     None when the multisets disagree."""
     if sorted(src) != sorted(dst):
         return None
-    targets = _positions(dst)
-    for positions in targets.values():
-        positions.reverse()
-    return tuple(targets[v].pop() for v in src)
-
-
-def _young_subgroup(labels: Sequence, fine: Sequence | None = None) -> list[tuple[int, ...]]:
-    """Every permutation p (as image tuple) with labels[p(m)] == labels[m].
-
-    With ``fine`` labels, only the p increasing on each block of positions
-    with equal fine labels: one p per left coset p W, where W is the
-    subgroup that preserves both labellings."""
-    blocks = [block for block in _positions(labels).values() if len(block) > 1]
-    choices = []
-    for block in blocks:
-        arrangements = itertools.permutations(block)
-        if fine is not None:
-            runs = _positions([fine[pos - 1] for pos in block]).values()
-            pairs = [(a - 1, b - 1) for run in runs for a, b in zip(run, run[1:])]
-            if pairs:
-                arrangements = [t for t in arrangements if all(t[a] < t[b] for a, b in pairs)]
-        choices.append(arrangements)
-    identity = list(range(1, len(labels) + 1))
-    out = []
-    for combo in itertools.product(*choices):
-        images = identity[:]
-        for block, targets in zip(blocks, combo):
-            for src, dst in zip(block, targets):
-                images[src - 1] = dst
-        out.append(tuple(images))
-    return out
+    # stable sorts list each value's occurrences in position order
+    sigma = [0] * len(src)
+    for l, m in zip(sorted(range(len(src)), key=src.__getitem__),
+                    sorted(range(len(dst)), key=dst.__getitem__)):
+        sigma[l] = m + 1
+    return tuple(sigma)
 
 
 def entry_census(spec: MomentSpec) -> Counter:
@@ -178,11 +149,11 @@ def _word_census(
         return ()
     rho = compose_images(tau_0, invert_images(sigma_0))
     # Y n Z permutes the positions with equal (conj_row, conj_col) pairs
-    weight = math.prod(math.factorial(len(block)) for block in _positions(conj).values())
-    z_rhos = [compose_images(z, rho) for z in _young_subgroup(conj_cols)]
+    weight = math.prod(math.factorial(m) for m in Counter(conj).values())
+    z_rhos = [compose_images(z, rho) for z in young_subgroup_images(conj_cols)]
     census = Counter(
         cycle_type_of_product(x, z_rho)
-        for x in _young_subgroup(conj_rows, conj)
+        for x in young_subgroup_images(conj_rows, conj)
         for z_rho in z_rhos
     )
     return tuple((lam, count * weight) for lam, count in census.items())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -224,56 +224,59 @@ def all_permutations(k: int) -> Iterator[Permutation]:
 
 
 def enumerate_sk0(k: int) -> Iterator[Permutation]:
-    """The (k-2)! permutations of degree k fixing both endpoints 1 and k.
+    """The (k-2)! permutations of degree k fixing both endpoints 1 and k, in
+    lexicographic image order.
 
     >>> [str(p) for p in enumerate_sk0(4)]
     ['id', '(2 3)']
     """
-    for images in universe_images(k, "sk0"):
+    if k < 2:
+        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
+    for images in young_subgroup_images((0,) + (1,) * (k - 2) + (-1,)):
         yield Permutation(images)
 
 
-def universe_images(k: int, universe: Literal["sk", "sk0"]) -> list[tuple[int, ...]]:
-    """Image tuples of S_k ("sk") or of its endpoint-fixing subgroup
-    ("sk0"), in lexicographic order."""
-    if universe == "sk":
-        return list(itertools.permutations(range(1, k + 1)))
-    if universe != "sk0":
-        raise ValueError(f"unknown universe {universe!r}")
-    if k < 2:
-        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
-    return [(1,) + mid + (k,) for mid in itertools.permutations(range(2, k))]
+def _positions(labels: Sequence) -> dict:
+    """label -> the positions (1-based, ascending) holding it."""
+    positions: dict = {}
+    for pos, v in enumerate(labels, 1):
+        positions.setdefault(v, []).append(pos)
+    return positions
 
 
-def stabilizer_images(
-    indices: Sequence[int], pool: Sequence[tuple[int, ...]]
+def young_subgroup_images(
+    labels: Sequence, fine: Sequence | None = None
 ) -> list[tuple[int, ...]]:
-    """The image tuples a in ``pool`` with indices[a(l)] == indices[l] for
-    every position l."""
-    positions = range(len(indices))
-    return [a for a in pool if all(indices[a[l] - 1] == indices[l] for l in positions)]
+    """Every permutation p (as image tuple) with labels[p(m)] == labels[m]:
+    the Young subgroup of ``labels``, which permutes each block of positions
+    with equal labels among itself.  A labelling with a single block gives
+    S_k in lexicographic image order.
 
+    With ``fine`` labels, only the p increasing on each block of positions
+    with equal fine labels: one p per left coset p W, where W is the
+    subgroup that preserves both labellings.
 
-def coset_representative_images(
-    universe: Sequence[tuple[int, ...]], stab: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """One representative per orbit of the left action a . phi = a * phi of
-    ``stab`` on ``universe``, all as image tuples.  ``stab`` must be a
-    subgroup contained in ``universe``; closure is checked."""
-    stab_set = set(stab)
-    if not stab or tuple(range(1, len(stab[0]) + 1)) not in stab_set:
-        raise ValueError("stabilizer must contain the identity")
-    if not stab_set <= set(universe):
-        raise ValueError("stabilizer is not contained in the universe")
-    for a in stab:
-        for b in stab:
-            if compose_images(a, b) not in stab_set:
-                raise ValueError("stabilizer is not closed under composition")
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for phi in universe:
-        if phi in seen:
-            continue
-        reps.append(phi)
-        seen.update(compose_images(a, phi) for a in stab)
-    return reps
+    >>> young_subgroup_images((1, 2, 1))
+    [(1, 2, 3), (3, 2, 1)]
+    >>> young_subgroup_images((1, 1, 1), fine=(1, 2, 2))
+    [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
+    """
+    blocks = [block for block in _positions(labels).values() if len(block) > 1]
+    choices = []
+    for block in blocks:
+        arrangements = itertools.permutations(block)
+        if fine is not None:
+            runs = _positions([fine[pos - 1] for pos in block]).values()
+            pairs = [(a - 1, b - 1) for run in runs for a, b in zip(run, run[1:])]
+            if pairs:
+                arrangements = [t for t in arrangements if all(t[a] < t[b] for a, b in pairs)]
+        choices.append(arrangements)
+    identity = list(range(1, len(labels) + 1))
+    out = []
+    for combo in itertools.product(*choices):
+        images = identity[:]
+        for block, targets in zip(blocks, combo):
+            for src, dst in zip(block, targets):
+                images[src - 1] = dst
+        out.append(tuple(images))
+    return out

@@ -240,6 +240,14 @@ class TestVerifyLemmasCommand:
         assert code == 0
         assert "n = 12" in out
 
+    @pytest.mark.parametrize("k", ["0", "1", "8"])
+    def test_order_outside_the_counting_range(self, capsys, k):
+        # rejected before the header line, so stdout stays empty
+        code, out, err = run(capsys, "verify-lemmas", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --k must lie in 2..7, got {k}\n"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_dimension_below_one(self, capsys, n):
         code, out, err = run(capsys, "verify-lemmas", "--k", "3", "--n", n)
@@ -413,14 +421,16 @@ class TestSpectrumExperimentCommand:
     def _usage_error(self, capsys, tmp_path, payload):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "spectrum-experiment", "--config", str(config),
             "--out", str(tmp_path), "--jobs", "1",
         )
         assert code == 2
+        assert out == ""
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [config]
         return err
 
     def test_non_object_config(self, capsys, tmp_path):
@@ -478,6 +488,24 @@ class TestSpectrumExperimentCommand:
             (
                 {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "replications": True},
                 "replications",
+            ),
+            # json reads NaN, Infinity and -Infinity as floats
+            ({"experiment": "tail", "profile": "1,2", "deltas": [math.nan, 0.1]}, "deltas"),
+            ({"experiment": "tail", "profile": "1,2", "deltas": [-math.inf]}, "deltas"),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "lo": math.nan},
+                 "n_grid": [4]},
+                "lo",
+            ),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "hi": math.inf},
+                 "n_grid": [4]},
+                "hi",
+            ),
+            (
+                {"experiment": "radius-rate", "family": {"kind": "grid", "hi": 10**400},
+                 "n_grid": [4]},
+                "hi",
             ),
         ],
     )

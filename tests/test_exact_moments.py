@@ -11,6 +11,7 @@ counting lemma against the word-by-word count.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from ringmoments.exact_moments import (
 )
 from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
 from ringmoments.montecarlo import estimate_trace_moment
-from ringmoments.permutations import Permutation, enumerate_sk0, stabilizer_images, universe_images
+from ringmoments.permutations import Permutation, enumerate_sk0, young_subgroup_images
 from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import (
@@ -143,6 +144,8 @@ class TestInnerAverages:
             f_i((1, 2, 3), 1)  # indices outside 1..n
         with pytest.raises(ValueError):
             g_i((1, 2, 3), 2)
+        with pytest.raises(ValueError, match="degree >= 2"):
+            route_censuses("uu", (1,))  # no endpoint-fixing subgroup
 
     def test_defined_below_the_degree(self):
         # a scalar unitary: every word averages to 1, one coset each
@@ -200,6 +203,40 @@ class TestRouteCensuses:
         for pattern in equality_patterns(k):
             folded = exact_moments._route_b_census(statistic, pattern)
             assert folded == unfolded_route_b_census(statistic, pattern), (statistic, pattern)
+
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 8)] + [("sq", k) for k in range(1, 7)],
+    )
+    def test_route_a_words_are_the_distinct_rearrangements(self, statistic, k, monkeypatch):
+        # one conjugated word per coset of the pattern's stabilizer in the
+        # universe, each a distinct rearrangement of the pattern; the
+        # stabilizers and universe are filtered out of all of S_k
+        words = []
+
+        def record(spec):
+            words.append(spec.conj_rows + spec.conj_cols[-1:] if statistic == "uu" else spec.conj_rows)
+            return Counter()
+
+        monkeypatch.setattr(exact_moments, "entry_census", record)
+        group = list(itertools.permutations(range(1, k + 1)))
+        universe = [phi for phi in group if statistic == "sq" or (phi[0], phi[-1]) == (1, k)]
+        assert young_subgroup_images(
+            exact_moments._young_labels(statistic, (1,) * k)
+        ) == universe
+        for pattern in equality_patterns(k):
+            stab = [a for a in universe if all(pattern[a[l] - 1] == pattern[l] for l in range(k))]
+            assert sorted(
+                young_subgroup_images(exact_moments._young_labels(statistic, pattern))
+            ) == stab
+            words.clear()
+            exact_moments._route_a_census(statistic, pattern)
+            assert len(words) == len(universe) // len(stab), (statistic, pattern)
+            rearrangements = {
+                w for w in itertools.permutations(pattern)
+                if statistic == "sq" or (w[0], w[-1]) == (pattern[0], pattern[-1])
+            }
+            assert sorted(words) == sorted(rearrangements), (statistic, pattern)
 
     def test_sq_census_mass_at_the_distinct_pattern(self):
         # sq at the all-distinct pattern: a trivial stabilizer, so route B
@@ -479,7 +516,6 @@ class TestHookSums:
         # the census is weighed by the Weingarten table at n below the
         # degree; written out here independently of _certify
         import math
-        from collections import Counter
 
         checked = 0
         for statistic, orders in (("uu", range(2, 7)), ("sq", range(1, 6))):
@@ -815,7 +851,7 @@ class TestCompositionCensus:
                 l0 = l1 = Fraction(0)
                 for i in itertools.product(range(1, n + 1), repeat=k):
                     weight = math.prod(x[v - 1] for v in i)
-                    l0 += weight * len(stabilizer_images(i, universe_images(k, "sk0")))
+                    l0 += weight * len(young_subgroup_images((0,) + i[1:-1] + (-1,)))
                     l1 += weight * math.prod(math.factorial(i.count(v)) for v in set(i))
                 links = composition_census(k, profile).links
                 assert links[:2] == (l0, l1), (seed, k, profile.values)
@@ -851,7 +887,6 @@ class TestCompositionCensus:
         import math
 
         k, n = 4, 3
-        universe = universe_images(k, "sk0")
         for i in itertools.product(range(1, n + 1), repeat=k):
             sizes = {}
             for v in i:
@@ -859,4 +894,4 @@ class TestCompositionCensus:
             cap = 1
             for c in sizes.values():
                 cap *= math.factorial(c)
-            assert len(stabilizer_images(i, universe)) <= cap
+            assert len(young_subgroup_images((0,) + i[1:-1] + (-1,))) <= cap

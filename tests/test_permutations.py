@@ -19,12 +19,10 @@ from ringmoments.permutations import (
     Permutation,
     all_permutations,
     compose_images,
-    coset_representative_images,
     cycle_count_of_images,
     enumerate_sk0,
     invert_images,
-    stabilizer_images,
-    universe_images,
+    young_subgroup_images,
 )
 from ringmoments.weingarten import monotone_counts
 
@@ -211,42 +209,33 @@ class TestGroupEnumeration:
             for p in group:
                 assert p(1) == 1 and p(k) == k
 
+    def test_sk0_needs_both_endpoints(self):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            list(enumerate_sk0(1))
+
     def test_stabilizer_fixes_tuple(self):
+        # all of S_4, and the endpoints labelled apart: the endpoint-fixing
+        # subgroup
         i = (1, 2, 1, 2)
-        for mode in ("sk", "sk0"):
-            stab = stabilizer_images(i, universe_images(4, mode))
+        for labels in (i, (0,) + i[1:-1] + (-1,)):
+            stab = young_subgroup_images(labels)
             assert stab
             for a in stab:
                 assert tuple(i[a[x - 1] - 1] for x in range(1, 5)) == i
 
     def test_coset_representatives_partition_group(self):
-        universe = universe_images(4, "sk0")
-        stab = stabilizer_images((1, 1, 2, 1), universe)
-        reps = coset_representative_images(universe, stab)
-        assert len(reps) * len(stab) == len(universe)
-        covered = {compose_images(a, phi) for phi in reps for a in stab}
-        assert covered == set(universe)
-
-    def test_coset_representatives_need_the_identity(self):
-        universe = universe_images(4, "sk0")
-        swap = Permutation.from_cycles(4, [(2, 3)]).images
-        with pytest.raises(ValueError, match="identity"):
-            coset_representative_images(universe, [swap])
-        with pytest.raises(ValueError, match="identity"):
-            coset_representative_images(universe, [])
-
-    def test_coset_representatives_need_the_stabilizer_inside(self):
-        universe = universe_images(4, "sk0")
-        outside = [(1, 2, 3, 4), Permutation.from_cycles(4, [(1, 2)]).images]
-        with pytest.raises(ValueError, match="not contained"):
-            coset_representative_images(universe, outside)
-
-    def test_coset_representatives_need_a_closed_stabilizer(self):
-        universe = universe_images(3, "sk")
-        # the identity and one 3-cycle: the square of the 3-cycle is missing
-        unclosed = [(1, 2, 3), Permutation.full_cycle(3).images]
-        with pytest.raises(ValueError, match="not closed"):
-            coset_representative_images(universe, unclosed)
+        # the inverses of the representatives refined by the pattern's labels
+        # give one phi per right coset stab * phi of the pattern's stabilizer
+        for universe_labels, stab_labels in (
+            ((0, 1, 1, -1), (0, 1, 2, -1)),  # (1, 1, 2, 1) in S_4^0
+            ((1, 1, 1, 1), (1, 1, 2, 1)),  # (1, 1, 2, 1) in S_4
+        ):
+            universe = young_subgroup_images(universe_labels)
+            stab = young_subgroup_images(stab_labels)
+            reps = [invert_images(p) for p in young_subgroup_images(universe_labels, stab_labels)]
+            assert len(reps) * len(stab) == len(universe)
+            covered = {compose_images(a, phi) for phi in reps for a in stab}
+            assert covered == set(universe)
 
 
 @st.composite
