@@ -23,11 +23,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .exact_moments import (
     MAX_COUNTING_ORDER,
+    MAX_SQ_ORDER,
+    MAX_UU_ORDER,
     CrossCheckError,
     composition_census,
     theorem_bound,
@@ -61,8 +64,23 @@ OUTPUT_DIR_ENV = "RINGMOMENTS_OUTPUT_DIR"
 
 # the keys each spectrum-experiment config may carry; any other is a typo
 RADIUS_RATE_KEYS = {"experiment", "seed", "replications", "family", "n_grid"}
-TAIL_KEYS = {"experiment", "seed", "replications", "profile", "n", "deltas"}
+TAIL_KEYS = {"experiment", "seed", "replications", "profile", "deltas"}
 FAMILY_KEYS = {"kind", "lo", "hi"}
+
+# --format -> (records writer, records file suffix)
+RECORD_FORMATS = {
+    "csv": (write_records_csv, "csv"),
+    "json": (write_records_jsonl, "jsonl"),
+}
+
+
+def _parse_rational(token: str) -> Fraction:
+    """A rational such as ``3``, ``0.5`` or ``7/2``; a zero denominator is a
+    ValueError naming the token, like any other malformed one."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def parse_profile(text: str) -> SingularProfile:
@@ -71,12 +89,13 @@ def parse_profile(text: str) -> SingularProfile:
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"expected uniform:LO:HI:N, got {text!r}")
-        lo, hi = Fraction(parts[1]), Fraction(parts[2])
+        lo, hi = _parse_rational(parts[1]), _parse_rational(parts[2])
         return SingularProfile.uniform_grid(lo, hi, int(parts[3]))
     if text.startswith("file:"):
-        lines = Path(text[5:]).read_text().split()
-        return SingularProfile(tuple(Fraction(tok) for tok in lines))
-    return SingularProfile(tuple(Fraction(tok) for tok in text.split(",")))
+        tokens = Path(text[5:]).read_text().split()
+    else:
+        tokens = text.split(",")
+    return SingularProfile(tuple(_parse_rational(tok) for tok in tokens))
 
 
 def _output_dir(args) -> Path:
@@ -159,7 +178,7 @@ def _float_text(value: Fraction) -> str:
 
 def _cmd_exact_moment(args) -> int:
     profile = parse_profile(args.profile)
-    report = theorem_bound(args.k, profile, args.mode, Fraction(args.epsilon))
+    report = theorem_bound(args.k, profile, args.mode, _parse_rational(args.epsilon))
     # computed before any output, so a bad census order prints nothing
     census = composition_census(args.k, profile) if args.census else None
     print(f"mode = {args.mode}  k = {args.k}  n = {profile.n}")
@@ -248,21 +267,14 @@ def _cmd_mc_moment(args) -> int:
         records = [
             ExperimentRecord(
                 n=profile.n, k=args.k, seed=args.seed,
-                stat=f"{est.statistic}_mean", value=est.mean,
+                stat=f"{est.statistic}_{name}", value=value,
                 b=profile.b, a=profile.a,
                 M=float(profile.M), m=float(profile.m),
-            ),
-            ExperimentRecord(
-                n=profile.n, k=args.k, seed=args.seed,
-                stat=f"{est.statistic}_stderr", value=est.std_error,
-                b=profile.b, a=profile.a,
-                M=float(profile.M), m=float(profile.m),
-            ),
+            )
+            for name, value in (("mean", est.mean), ("stderr", est.std_error))
         ]
-        if args.format == "csv":
-            write_records_csv(records, str(path))
-        else:
-            write_records_jsonl(records, str(path))
+        writer, _ = RECORD_FORMATS[args.format]
+        writer(records, str(path))
         print(f"wrote {path}")
     return 0
 
@@ -318,8 +330,7 @@ def _cmd_spectrum_experiment(args) -> int:
     kind = config.get("experiment")
     seed = _config_int(config.get("seed", 0), "seed")
     replications = _config_int(config.get("replications", 16), "replications")
-    writer = write_records_csv if args.format == "csv" else write_records_jsonl
-    suffix = "csv" if args.format == "csv" else "jsonl"
+    writer, suffix = RECORD_FORMATS[args.format]
     if kind == "radius-rate":
         _reject_unknown_keys(config, RADIUS_RATE_KEYS, kind)
         family_cfg = _config_field(config, "family", kind)
@@ -338,15 +349,7 @@ def _cmd_spectrum_experiment(args) -> int:
         records_path = _output_path(args, f"radius_rate_records.{suffix}")
         writer(records, str(records_path))
         fit_path = _output_path(args, "radius_rate_fit.json")
-        fit_payload = {
-            "slope": fit.slope,
-            "stderr": fit.stderr,
-            "ci_low": fit.ci_low,
-            "ci_high": fit.ci_high,
-            "medians": [[n, med] for n, med in fit.medians],
-            "degenerate": fit.degenerate,
-        }
-        fit_path.write_text(json.dumps(fit_payload, sort_keys=True, indent=2) + "\n")
+        fit_path.write_text(json.dumps(asdict(fit), sort_keys=True, indent=2) + "\n")
         print(f"median positive deviations: {list(fit.medians)}")
         print(f"fitted log-log slope = {fit.slope!r} (degenerate={fit.degenerate})")
         print(f"wrote {records_path}")
@@ -357,11 +360,8 @@ def _cmd_spectrum_experiment(args) -> int:
         if not isinstance(profile_text, str):
             raise ValueError(f"config key 'profile' must be a string, got {profile_text!r}")
         profile = parse_profile(profile_text)
-        n = _config_int(config.get("n", profile.n), "n")
         deltas = _config_list(_config_field(config, "deltas", kind), "deltas", _config_number)
-        records, points = tail_experiment(
-            profile, n, deltas, replications, seed, args.jobs
-        )
+        records, points = tail_experiment(profile, deltas, replications, seed, args.jobs)
         records_path = _output_path(args, f"tail_records.{suffix}")
         writer(records, str(records_path))
         curve_path = _output_path(args, "tail_curve.csv")
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k", type=int, required=True,
         help="moment order, any k >= 1 at any dimension; certified against "
-        "the Weingarten census for uu k <= 6 and sq k <= 5",
+        f"the Weingarten census for uu k <= {MAX_UU_ORDER} and sq k <= {MAX_SQ_ORDER}",
     )
     p.add_argument("--profile", required=True)
     p.add_argument("--mode", choices=("uu", "sq"), default="uu")
@@ -436,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("uu", "sq"), default="uu")
     p.add_argument("--compare-exact", action="store_true")
     p.add_argument("--output", default=None, help="records file name")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=tuple(RECORD_FORMATS), default="csv")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_mc_moment)
 
     p = sub.add_parser("spectrum-experiment", help="extreme-eigenvalue experiments")
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=tuple(RECORD_FORMATS), default="csv")
     p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
         help="parallel worker count; results do not depend on it",

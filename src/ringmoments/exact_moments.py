@@ -633,10 +633,11 @@ def theorem_bound(
     if not 0 < eps < 2:
         raise ValueError("epsilon must lie strictly between 0 and 2")
     n = profile.n
+    # first, so an order below 1 is rejected before core ** k can divide by 0
+    exact = trace_moment_uu(k, profile) if mode == "uu" else trace_moment_sq(k, profile)
     core = (profile.b2 + Fraction(k) * profile.M * profile.M / n) ** k
     if mode == "uu":
         core = n * k * k * core
-    exact = trace_moment_uu(k, profile) if mode == "uu" else trace_moment_sq(k, profile)
     ratio = exact / core if core != 0 else None
     applicable = k**6 < (2 - eps) * n
     return BoundReport(k, n, mode, eps, exact, core, ratio, applicable)

@@ -25,7 +25,8 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import repeat
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -241,7 +242,7 @@ class ExperimentRecord:
     m: float
 
 
-CSV_COLUMNS = ("n", "k", "seed", "stat", "value", "b", "a", "M", "m")
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _spectrum_replication(
@@ -268,10 +269,6 @@ def _spectrum_replication(
     ]
 
 
-def _spectrum_worker(args: tuple) -> list[ExperimentRecord]:
-    return _spectrum_replication(*args)
-
-
 def spectrum_records(
     family: ProfileFamily,
     n_values: Sequence[int],
@@ -288,16 +285,14 @@ def spectrum_records(
         raise ValueError("need at least one replication")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (family, n, seed, pos * replications + rep)
-        for pos, n in enumerate(n_values)
-        for rep in range(replications)
-    ]
+    ns = [n for n in n_values for _ in range(replications)]
+    # the task columns; the stream index is the task's position
+    columns = (repeat(family), ns, repeat(seed), range(len(ns)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_spectrum_worker, tasks))
+            chunks = list(pool.map(_spectrum_replication, *columns))
     else:
-        chunks = [_spectrum_worker(t) for t in tasks]
+        chunks = list(map(_spectrum_replication, *columns))
     return [record for chunk in chunks for record in chunk]
 
 
@@ -354,7 +349,12 @@ def radius_rate_experiment(
     Medians below the eigensolver rounding scale (eps * n * b) count as zero;
     otherwise a profile whose radius deviation is exactly 0 would feed pure
     rounding noise into the regression instead of flagging degeneracy.
+    The grid must be nonempty, without repeats, and at least 1 throughout.
     """
+    if not n_grid or len(set(n_grid)) != len(n_grid) or min(n_grid) < 1:
+        raise ValueError(
+            f"n_grid must be distinct dimensions of at least 1, got {list(n_grid)}"
+        )
     records = spectrum_records(family, n_grid, replications, seed, jobs)
     eps = float(np.finfo(float).eps)
     points = []
@@ -375,21 +375,18 @@ class TailPoint:
 
 def tail_experiment(
     profile: SingularProfile,
-    n: int,
     deltas: Sequence[float],
     replications: int,
     seed: int,
     jobs: int = 1,
 ) -> tuple[list[ExperimentRecord], list[TailPoint]]:
-    """Empirical exceedance frequencies for a fixed profile at dimension n:
-    P(|largest eigenvalue| > b + delta) and P(|smallest| < a - delta) per
-    delta.  Sharing one sample set across deltas makes both curves
-    automatically nonincreasing in delta."""
-    if n != profile.n:
-        raise ValueError(f"profile has n={profile.n}, experiment asked for {n}")
+    """Empirical exceedance frequencies for a fixed profile at its own
+    dimension ``profile.n``: P(|largest eigenvalue| > b + delta) and
+    P(|smallest| < a - delta) per delta.  Sharing one sample set across
+    deltas makes both curves automatically nonincreasing in delta."""
     # grid position 0, so replication rep owns stream index rep
     records = spectrum_records(
-        _FixedProfileFamily(profile.values), [n], replications, seed, jobs
+        _FixedProfileFamily(profile), [profile.n], replications, seed, jobs
     )
     radii = [r.value for r in records if r.stat == "spectral_radius"]
     minima = [r.value for r in records if r.stat == "min_modulus"]
@@ -407,31 +404,22 @@ def tail_experiment(
 
 @dataclass(frozen=True)
 class _FixedProfileFamily:
-    """Internal family wrapper that always realizes one fixed profile."""
+    """Internal family that realizes one fixed profile.  ``tail_experiment``
+    asks only for ``profile.n``, so the dimension and the rng go unread."""
 
-    values: tuple
+    profile: SingularProfile
 
     def realize(self, n: int, rng: np.random.Generator) -> SingularProfile:
-        profile = SingularProfile(self.values)
-        if profile.n != n:
-            raise ValueError("fixed profile does not match requested dimension")
-        return profile
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        return self.profile
 
 
 def write_records_csv(records: Iterable[ExperimentRecord], path: str) -> None:
-    """CSV with the exact header n,k,seed,stat,value,b,a,M,m; floats are
-    written with repr so rereading reproduces them bit for bit."""
+    """CSV with the exact header n,k,seed,stat,value,b,a,M,m; ``csv`` writes
+    floats with repr, so rereading reproduces them bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_format_value(getattr(r, c)) for c in CSV_COLUMNS])
+        writer.writerows(astuple(r) for r in records)
 
 
 def write_records_jsonl(records: Iterable[ExperimentRecord], path: str) -> None:

@@ -31,39 +31,6 @@ def invert_images(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cycle_count_of_images(p: Sequence[int]) -> int:
-    """Number of cycles, fixed points included.  No validation."""
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x] - 1
-    return count
-
-
-def cycle_type_of_images(p: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths sorted descending, fixed points included.  No validation."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = p[x] - 1
-        lengths.append(size)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
-
-
 def cycle_type_of_product(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Cycle type of p * q (q acts first), without forming the product.
     No validation."""
@@ -198,10 +165,11 @@ class Permutation:
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
-        return cycle_type_of_images(self.images)
+        """Cycle lengths sorted descending, fixed points included."""
+        return cycle_type_of_product(self.images, range(1, self.degree + 1))
 
     def num_cycles(self) -> int:
-        return cycle_count_of_images(self.images)
+        return len(self.cycle_type())
 
     def transposition_distance(self) -> int:
         """Minimal number of transpositions multiplying to this permutation,

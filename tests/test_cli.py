@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ringmoments.cli import main, parse_profile
+from ringmoments.cli import FAMILY_KEYS, RADIUS_RATE_KEYS, TAIL_KEYS, main, parse_profile
 from ringmoments.profiles import SingularProfile
 
 
@@ -45,6 +47,38 @@ class TestProfileGrammar:
     def test_bad_uniform_arity(self):
         with pytest.raises(ValueError):
             parse_profile("uniform:1:3")
+
+
+class TestZeroDenominator:
+    """Every rational the CLI reads rejects a zero denominator as a usage
+    error naming the token, before any output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact-moment", "--k", "2", "--profile", "1/0,2"],
+            ["exact-moment", "--k", "2", "--profile", "uniform:1/0:2:4"],
+            ["exact-moment", "--k", "2", "--profile", "file:{profile_file}"],
+            ["exact-moment", "--k", "2", "--profile", "1,2", "--epsilon", "1/0"],
+            ["mc-moment", "--k", "2", "--profile", "1/0,2", "--output", "run.csv",
+             "--out", "{out}"],
+            ["spectrum-experiment", "--config", "{config}", "--out", "{out}",
+             "--jobs", "1"],
+        ],
+    )
+    def test_usage_error(self, capsys, tmp_path, argv):
+        profile_file = tmp_path / "profile.txt"
+        profile_file.write_text("1/0\n2\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"experiment": "tail", "profile": "1/0,2", "deltas": [0.1], "replications": 2}
+        ))
+        paths = {"profile_file": profile_file, "config": config, "out": tmp_path / "out"}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: zero denominator in '1/0'\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestWgCommand:
@@ -181,6 +215,17 @@ class TestExactMomentCommand:
         assert code == 2
         assert out == ""
         assert err == "usage error: census needs k >= 2\n"
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    @pytest.mark.parametrize("mode", ["uu", "sq"])
+    def test_order_below_one(self, capsys, k, mode):
+        # a zero profile makes the envelope core 0, so core ** -1 divides by 0
+        code, out, err = run(
+            capsys, "exact-moment", "--k", k, "--profile", "0,0", "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: moment order must be at least 1\n"
 
     def test_order_above_dimension(self, capsys):
         # sq at k = 3 on a 2-point profile: the hook sum serves n < k
@@ -409,6 +454,23 @@ class TestSpectrumExperimentCommand:
         # a shift past M - b can never be exceeded
         assert curve[2].split(",")[1] == "0.0"
 
+    @pytest.mark.parametrize("n_grid", [[], [8, 8], [0], [4, -1]])
+    def test_invalid_grid(self, capsys, tmp_path, n_grid):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"experiment": "radius-rate", "family": {"kind": "grid"}, "n_grid": n_grid}
+        ))
+        out_dir = tmp_path / "new"
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(out_dir), "--jobs", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: n_grid ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_unknown_experiment_kind(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "mystery"}))
@@ -601,6 +663,35 @@ class TestSpectrumExperimentCommand:
             "spectrum-experiment", "--config", str(tmp_path / "nope.json"),
         )
         assert code == 2
+
+
+class TestReadmeConfigs:
+    """The spectrum-experiment configs shown in README.md stay valid."""
+
+    @staticmethod
+    def configs() -> dict[str, str]:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        return {json.loads(block)["experiment"]: block for block in blocks}
+
+    def test_keys_are_known(self):
+        configs = {kind: json.loads(text) for kind, text in self.configs().items()}
+        assert set(configs) == {"radius-rate", "tail"}
+        assert set(configs["radius-rate"]) <= RADIUS_RATE_KEYS
+        assert set(configs["radius-rate"]["family"]) <= FAMILY_KEYS
+        assert set(configs["tail"]) <= TAIL_KEYS
+
+    def test_tail_example_runs(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(self.configs()["tail"])
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(tmp_path), "--jobs", "1",
+        )
+        assert code == 0, err
+        assert (tmp_path / "tail_records.csv").exists()
+        assert (tmp_path / "tail_curve.csv").exists()
 
 
 class TestProcessLevel:

@@ -327,12 +327,21 @@ class TestRateExperiment:
         with pytest.raises(ValueError):
             radius_rate_experiment(ProfileFamily("constant", 1.0), [4], 0, seed=0)
 
+    @pytest.mark.parametrize("n_grid", [[], [8, 8], [0], [4, -1]])
+    def test_invalid_grid_rejected_before_sampling(self, monkeypatch, n_grid):
+        def no_draw(*args):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(montecarlo, "haar_batch", no_draw)
+        with pytest.raises(ValueError, match="n_grid"):
+            radius_rate_experiment(ProfileFamily("constant", 1.0), n_grid, 2, seed=0)
+
 
 class TestTailExperiment:
     def test_monotone_and_vanishing_tails(self):
         profile = SingularProfile.uniform_grid(0.5, 2.0, 16)
         deltas = [0.0, 0.05, 0.1, 0.25, float(profile.M) - profile.b]
-        _, points = tail_experiment(profile, 16, deltas, replications=40, seed=12)
+        _, points = tail_experiment(profile, deltas, replications=40, seed=12)
         ps = [p.p_radius_above for p in points]
         qs = [p.p_min_below for p in points]
         assert all(x >= y for x, y in zip(ps, ps[1:]))
@@ -341,15 +350,10 @@ class TestTailExperiment:
         assert ps[-1] == 0.0
         assert all(0.0 <= x <= 1.0 for x in ps + qs)
 
-    def test_dimension_mismatch(self):
-        profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
-        with pytest.raises(ValueError):
-            tail_experiment(profile, 16, [0.1], replications=2, seed=0)
-
     def test_replication_validation(self):
         profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
         with pytest.raises(ValueError):
-            tail_experiment(profile, 8, [0.1], replications=0, seed=0)
+            tail_experiment(profile, [0.1], replications=0, seed=0)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):

@@ -19,7 +19,7 @@ from ringmoments.permutations import (
     Permutation,
     all_permutations,
     compose_images,
-    cycle_count_of_images,
+    cycle_type_of_product,
     enumerate_sk0,
     invert_images,
     young_subgroup_images,
@@ -124,7 +124,8 @@ class TestAlgebra:
         b = (1, 3, 2)
         assert compose_images(a, b) == (2, 3, 1)
         assert invert_images((2, 3, 1)) == (3, 1, 2)
-        assert cycle_count_of_images((2, 3, 1)) == 1
+        assert cycle_type_of_product((2, 3, 1), (1, 2, 3)) == (3,)
+        assert cycle_type_of_product(a, b) == (3,)
 
 
 class TestCycleStructure:

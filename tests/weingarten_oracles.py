@@ -32,8 +32,7 @@ from ringmoments.haar_moments import MomentSpec
 from ringmoments.permutations import (
     Permutation,
     compose_images,
-    cycle_count_of_images,
-    cycle_type_of_images,
+    cycle_type_of_product,
     enumerate_sk0,
     invert_images,
 )
@@ -49,11 +48,12 @@ def _orthogonality_counts(
     {j: #{rho in S_k with j cycles and rho^-1 * rep(mu) in class lam}}."""
     reps = {mu: class_representative(mu, k).images for mu in integer_partitions(k)}
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-    for rho in itertools.permutations(range(1, k + 1)):
+    identity = tuple(range(1, k + 1))
+    for rho in itertools.permutations(identity):
         inv = invert_images(rho)
-        j = cycle_count_of_images(rho)
+        j = len(cycle_type_of_product(rho, identity))
         for mu, rep in reps.items():
-            lam = cycle_type_of_images(compose_images(inv, rep))
+            lam = cycle_type_of_product(inv, rep)
             bucket = counts.setdefault((mu, lam), {})
             bucket[j] = bucket.get(j, 0) + 1
     return counts
@@ -131,7 +131,7 @@ def cycle_type_census(images) -> Counter:
     cycle type -> multiplicity."""
     census: Counter = Counter()
     for p, count in images.items():
-        census[cycle_type_of_images(p)] += count
+        census[cycle_type_of_product(p, range(1, len(p) + 1))] += count
     return census
 
 
