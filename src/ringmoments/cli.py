@@ -130,6 +130,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _cmd_wg(args) -> int:
     pi = Permutation.from_cycle_string(args.pi, args.k)
     series = wg_series(args.k, args.n, pi, args.r_max)
+    # first, so a bad --j is rejected before anything is printed
+    alt = wg_alt_bounds(args.k, args.n, pi, args.j)
     exact = series.exact
     print(f"pi = {pi}  cycle type = {pi.cycle_type()}")
     print(f"exact = {exact}")
@@ -142,7 +144,6 @@ def _cmd_wg(args) -> int:
         print(f"|exact| <= bound: {abs(exact) <= bound.value}")
     else:
         print("magnitude bound = not applicable (k^2 >= 2n)")
-    alt = wg_alt_bounds(args.k, args.n, pi, args.j)
     print(
         f"alt bounds (j={args.j}): power = {alt.power_bound}  "
         f"catalan = {alt.catalan_bound}"
@@ -159,9 +160,10 @@ def _cmd_entry_moment(args) -> int:
         conj_cols=_parse_int_list(args.conj_cols),
     )
     exact = entry_moment(spec)
+    # before printing, so a bad --mc-samples is rejected with nothing printed
+    est = mc_entry_moment(spec, args.mc_samples, args.seed) if args.mc_samples else None
     print(f"entry moment = {exact}")
-    if args.mc_samples:
-        est = mc_entry_moment(spec, args.mc_samples, args.seed)
+    if est is not None:
         print(f"mc mean = {est.mean!r}  std error = {est.std_error!r}")
         if est.std_error > 0:
             sigma = abs(est.mean - float(exact)) / est.std_error

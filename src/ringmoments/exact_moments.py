@@ -94,8 +94,8 @@ independent routes:
   of index reorderings that leave the tuple fixed (one representative per
   stabilizer coset, the cosets enumerated as Young-subgroup representatives
   by ``permutations.young_subgroup_images``), each census counted per coset
-  of the matchings and built once per word shape
-  (``haar_moments.entry_census``),
+  of the matchings, built once per canonical form of the word and summed
+  as integers (``haar_moments.word_census``),
 * route B pushes the delta constraints through the Weingarten sum and counts
   the conjugation-and-transposition dressed words
   w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
@@ -150,11 +150,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
-from .haar_moments import MomentSpec, census_value, entry_census
+from .haar_moments import census_value, word_census
 from .permutations import (
     Permutation,
     compose_images,
-    cycle_type_of_product,
+    composites,
+    cycle_types_of_products,
     invert_images,
     young_subgroup_images,
 )
@@ -237,12 +238,13 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
             return word[:-1], word[1:]
         return word, word[1:] + word[:1]
 
-    census: Counter = Counter()
+    rows, cols = ends(pattern)
+    census: dict[tuple[int, ...], int] = {}
     for p in young_subgroup_images(universe, fine=stab):
-        permuted = tuple(pattern[x - 1] for x in invert_images(p))
-        spec = MomentSpec(max(pattern), *ends(pattern), *ends(permuted))
-        census.update(entry_census(spec))
-    return census
+        permuted = compose_images(pattern, invert_images(p))
+        for lam, count in word_census(rows, cols, *ends(permuted)):
+            census[lam] = census.get(lam, 0) + count
+    return Counter(census)
 
 
 @lru_cache(maxsize=None)
@@ -266,14 +268,15 @@ def _folded_census(
     """The census of gamma * beta over the conjugates gamma of
     ``_cycle_conjugates``, as (cycle type, count) pairs; for uu, cycle types
     on {1..k-1}, and None when some gamma * beta moves the point k."""
-    census: Counter = Counter()
-    for gamma, multiplicity in _cycle_conjugates(statistic, k):
-        lam = cycle_type_of_product(gamma, beta)
+    conjugates = _cycle_conjugates(statistic, k)
+    if statistic == "uu" and any(gamma[beta[k - 1] - 1] != k for gamma, _ in conjugates):
+        return None
+    types = cycle_types_of_products([gamma for gamma, _ in conjugates], [beta])
+    census: dict[tuple[int, ...], int] = {}
+    for lam, (_, multiplicity) in zip(types, conjugates):
         if statistic == "uu":
-            if gamma[beta[k - 1] - 1] != k:
-                return None
             lam = lam[:-1]  # drop the fixed point k
-        census[lam] += multiplicity
+        census[lam] = census.get(lam, 0) + multiplicity
     return tuple(census.items())
 
 
@@ -315,19 +318,17 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
             for l2 in range(1, k)
             if pattern[l2] == pattern[k - 1]
         ]
-    betas = Counter(
-        compose_images(invert_images(alpha), tail)
-        for alpha in young_subgroup_images(_young_labels(statistic, pattern))
-        for tail in c_dressed
-    )
-    census: Counter = Counter()
+    stab = young_subgroup_images(_young_labels(statistic, pattern))
+    inverses = [invert_images(alpha) for alpha in stab]
+    betas = Counter(beta for tail in c_dressed for beta in composites(inverses, tail))
+    census: dict[tuple[int, ...], int] = {}
     for beta, multiplicity in betas.items():
         folded = _folded_census(statistic, k, beta)
         if folded is None:
             raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
         for lam, count in folded:
-            census[lam] += multiplicity * count
-    return census
+            census[lam] = census.get(lam, 0) + multiplicity * count
+    return Counter(census)
 
 
 def _swap(k: int, a: int, b: int) -> tuple[int, ...]:

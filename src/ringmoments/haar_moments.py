@@ -14,7 +14,8 @@ words (row or column multisets that disagree) average to zero.
 
 The matching pairs are counted by the cycle type of sigma^-1 * tau
 (``entry_census``); that census depends on the index equalities alone, and
-the moment is the census weighed by the table at n.
+the moment is the census weighed by the table at n, one integer dot
+product over the table's common denominator (``census_value``).
 
 The matchings are cosets.  With sigma_0 one row matching and Y the Young
 subgroup of the permutations that preserve the conj_rows values, the row
@@ -29,18 +30,19 @@ all of Z, with the weight |Y n Z|: |Y| |Z| / |Y n Z| products instead of
 |Y| |Z|, and k! instead of (k!)^2 for a word with every index equal.
 
 The census is a function of the word's shape, so it is compiled once per
-shape.  Relabelling the row values, or the column values, keeps every
-matching.  Permuting the unconjugated factors by pi turns each matching pair
+shape.  Permuting the unconjugated factors by pi turns each matching pair
 (sigma, tau) into (sigma pi, tau pi), so sigma^-1 * tau becomes
 pi^-1 sigma^-1 tau pi, of the same cycle type; permuting the conjugated
 factors by pi turns it into (pi^-1 sigma, pi^-1 tau) and leaves sigma^-1 * tau
-unchanged.  Both maps are bijections on the matching pairs.  So the census of
-a word equals the census of its canonical form (values relabelled in order
-of first appearance, each side's (row, column) pairs sorted), and
-``entry_census`` memoises that form's census.  The form is only a cache key:
-two words of one shape may get different keys, which costs a second build
-and never a wrong census, since each key's census is computed from the word
-it names.
+unchanged.  Both maps are bijections on the matching pairs.  Swapping the
+two sides turns each matching pair into (sigma^-1, tau^-1), and
+sigma tau^-1 is conjugate to (sigma^-1 tau)^-1, of the same cycle type.  So
+the census of a word equals the census of its canonical form, each side's
+(row, column) pairs sorted and the smaller side taken as unconjugated, and
+``word_census`` memoises that form's census.  The form is
+only a cache key: words of one shape may get different keys (relabelled
+values do), which costs a second build and never a wrong census, since each
+key's census is computed from the word it names.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ from typing import Mapping, Sequence
 
 from .permutations import (
     compose_images,
-    cycle_type_of_product,
-    invert_images,
+    cycle_types_of_products,
     young_subgroup_images,
 )
-from .weingarten import wg_class_table
+from .weingarten import ClassTable, wg_class_table
 
 # The census enumerates |Y| |Z| / |Y n Z| products (see the module
 # docstring), at most k! of them: 40320 for a word of length 8 with every
@@ -96,13 +97,14 @@ def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | N
     """One permutation sigma with src[l] == dst[sigma(l)] for every position
     l (the j-th occurrence of each value goes to its j-th occurrence), or
     None when the multisets disagree."""
-    if sorted(src) != sorted(dst):
-        return None
-    # stable sorts list each value's occurrences in position order
+    # sorting (value, position) pairs lists each value's occurrences in
+    # position order
     sigma = [0] * len(src)
-    for l, m in zip(sorted(range(len(src)), key=src.__getitem__),
-                    sorted(range(len(dst)), key=dst.__getitem__)):
-        sigma[l] = m + 1
+    for (value, l), (other, m) in zip(sorted(zip(src, range(len(src)))),
+                                      sorted(zip(dst, range(1, len(dst) + 1)))):
+        if value != other:
+            return None
+        sigma[l] = m
     return tuple(sigma)
 
 
@@ -116,22 +118,35 @@ def entry_census(spec: MomentSpec) -> Counter:
     the dimension ``spec.n``, the index values or the order of the factors
     within the unconjugated or the conjugated side; it is empty when the row
     or column multisets disagree.  It is built once per canonical form of
-    the word (``_canonical_word``) and returned as a fresh Counter.
+    the word (see ``word_census``) and returned as a fresh Counter.
     """
-    return Counter(dict(_word_census(*_canonical_word(spec))))
+    return Counter(dict(word_census(spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)))
+
+
+def word_census(
+    rows: Sequence[int],
+    cols: Sequence[int],
+    conj_rows: Sequence[int],
+    conj_cols: Sequence[int],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The census of the word u[rows_l, cols_l] ... conj(u[conj_rows_l,
+    conj_cols_l]) ... as (cycle type, count) pairs, for index tuples of one
+    length >= 1; no other validation.  Built once per canonical form of the
+    word (``_canonical_word``); the tuple is shared between callers."""
+    return _word_census(*_canonical_word(rows, cols, conj_rows, conj_cols))
 
 
 def _canonical_word(
-    spec: MomentSpec,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    conj_rows: Sequence[int],
+    conj_cols: Sequence[int],
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The sorted (row, column) pairs of the unconjugated and of the
-    conjugated factors, with the row values and the column values relabelled
-    in order of first appearance (unconjugated side first)."""
-    row_label = {v: i for i, v in enumerate(dict.fromkeys(spec.rows + spec.conj_rows), 1)}
-    col_label = {v: i for i, v in enumerate(dict.fromkeys(spec.cols + spec.conj_cols), 1)}
-    plain = sorted(zip(map(row_label.get, spec.rows), map(col_label.get, spec.cols)))
-    conj = sorted(zip(map(row_label.get, spec.conj_rows), map(col_label.get, spec.conj_cols)))
-    return tuple(plain), tuple(conj)
+    conjugated factors, the smaller side first."""
+    plain = tuple(sorted(zip(rows, cols)))
+    conj = tuple(sorted(zip(conj_rows, conj_cols)))
+    return min((plain, conj), (conj, plain))
 
 
 @lru_cache(maxsize=None)
@@ -139,29 +154,31 @@ def _word_census(
     plain: tuple[tuple[int, int], ...], conj: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The census of the word with unconjugated (row, column) pairs ``plain``
-    and conjugated pairs ``conj``, as (cycle type, count) pairs; memoised per
-    word, n-free."""
+    and conjugated pairs ``conj``, both sorted, as (cycle type, count)
+    pairs; memoised per word, n-free."""
     rows, cols = zip(*plain)
     conj_rows, conj_cols = zip(*conj)
-    sigma_0 = _one_matching(rows, conj_rows)
-    tau_0 = _one_matching(cols, conj_cols)
-    if sigma_0 is None or tau_0 is None:
+    # both sides are sorted, so the row matching, if any, is the identity
+    # and rho = tau_0
+    rho = _one_matching(cols, conj_cols)
+    if rows != conj_rows or rho is None:
         return ()
-    rho = compose_images(tau_0, invert_images(sigma_0))
     # Y n Z permutes the positions with equal (conj_row, conj_col) pairs
-    weight = math.prod(math.factorial(m) for m in Counter(conj).values())
-    z_rhos = [compose_images(z, rho) for z in young_subgroup_images(conj_cols)]
-    census = Counter(
-        cycle_type_of_product(x, z_rho)
-        for x in young_subgroup_images(conj_rows, conj)
-        for z_rho in z_rhos
+    weight = math.prod(map(math.factorial, Counter(conj).values()))
+    # x * z * rho is conjugate to z * (rho * x): one compiled product per x
+    types = cycle_types_of_products(
+        young_subgroup_images(conj_cols),
+        [compose_images(rho, x) for x in young_subgroup_images(conj_rows, conj)],
     )
-    return tuple((lam, count * weight) for lam, count in census.items())
+    return tuple((lam, count * weight) for lam, count in Counter(types).items())
 
 
-def census_value(census: Mapping[tuple[int, ...], int], table) -> Fraction:
-    """sum over the census of multiplicity * Weingarten value of the type."""
-    return sum((count * table[lam] for lam, count in census.items()), Fraction(0))
+def census_value(census: Mapping[tuple[int, ...], int], table: ClassTable) -> Fraction:
+    """sum over the census of multiplicity * Weingarten value of the type,
+    as one integer dot product over the table's common denominator."""
+    numerators = table.numerators
+    total = sum(count * numerators[lam] for lam, count in census.items())
+    return Fraction(total, table.denominator)
 
 
 def entry_moment(spec: MomentSpec) -> Fraction:
@@ -178,7 +195,7 @@ def entry_moment(spec: MomentSpec) -> Fraction:
     """
     if spec.k > MAX_WORD_LENGTH:
         raise ValueError(f"word length {spec.k} above supported {MAX_WORD_LENGTH}")
-    census = entry_census(spec)
+    census = word_census(spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)
     if not census:
         return Fraction(0)
-    return census_value(census, wg_class_table(spec.k, spec.n))
+    return census_value(dict(census), wg_class_table(spec.k, spec.n))

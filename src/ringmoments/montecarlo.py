@@ -383,7 +383,10 @@ def tail_experiment(
     """Empirical exceedance frequencies for a fixed profile at its own
     dimension ``profile.n``: P(|largest eigenvalue| > b + delta) and
     P(|smallest| < a - delta) per delta.  Sharing one sample set across
-    deltas makes both curves automatically nonincreasing in delta."""
+    deltas makes both curves automatically nonincreasing in delta.  There
+    must be at least one delta."""
+    if not deltas:
+        raise ValueError(f"deltas must be a nonempty list, got {list(deltas)}")
     # grid position 0, so replication rep owns stream index rep
     records = spectrum_records(
         _FixedProfileFamily(profile), [profile.n], replications, seed, jobs

@@ -15,7 +15,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
+
+# Young subgroups are memoised, and the cycle types of all of S_k
+# tabulated, up to this degree: it covers every word of the census orders
+# in ``exact_moments``, and S_6 has 720 elements.  Larger groups come from
+# long entry-moment words, whose census is memoised per word anyway, and
+# S_8 alone would keep 40320 tuples alive.
+MEMO_DEGREE = 6
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -48,6 +57,43 @@ def cycle_type_of_product(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]
         lengths.append(size)
     lengths.sort(reverse=True)
     return tuple(lengths)
+
+
+def composites(ps: Iterable[Sequence[int]], q: Sequence[int]) -> list[tuple[int, ...]]:
+    """The images of p * q (q acts first) for each p in ``ps``, by one item
+    lookup compiled for q.  No validation."""
+    if len(q) == 1:
+        return [tuple(p) for p in ps]
+    return list(map(itemgetter(*[y - 1 for y in q]), ps))
+
+
+def cycle_types_of_products(
+    ps: Sequence[tuple[int, ...]], qs: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The cycle type of p * q (q acts first) for each q in ``qs`` and p in
+    ``ps``, q outer.  No validation.
+
+    Up to degree ``MEMO_DEGREE`` the products are formed by ``composites``
+    and their types read off ``_cycle_type_table``; beyond it each product's
+    cycles are walked.
+    """
+    types: list[tuple[int, ...]] = []
+    for q in qs:
+        if len(q) <= MEMO_DEGREE:
+            types += map(_cycle_type_table(len(q)).__getitem__, composites(ps, q))
+        else:
+            types += [cycle_type_of_product(p, q) for p in ps]
+    return types
+
+
+@lru_cache(maxsize=None)
+def _cycle_type_table(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """images -> cycle type over all of S_k; built once per degree."""
+    identity = range(1, k + 1)
+    return {
+        images: cycle_type_of_product(images, identity)
+        for images in itertools.permutations(identity)
+    }
 
 
 @dataclass(frozen=True)
@@ -212,9 +258,16 @@ def _positions(labels: Sequence) -> dict:
     return positions
 
 
+def _blocks(labels: Sequence) -> tuple[int, ...]:
+    """``labels`` renamed 0, 1, ... in order of first appearance: the same
+    blocks of positions under names that depend on nothing else."""
+    names: dict = {}
+    return tuple([names.setdefault(v, len(names)) for v in labels])
+
+
 def young_subgroup_images(
     labels: Sequence, fine: Sequence | None = None
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], ...]:
     """Every permutation p (as image tuple) with labels[p(m)] == labels[m]:
     the Young subgroup of ``labels``, which permutes each block of positions
     with equal labels among itself.  A labelling with a single block gives
@@ -224,11 +277,26 @@ def young_subgroup_images(
     with equal fine labels: one p per left coset p W, where W is the
     subgroup that preserves both labellings.
 
+    The result depends only on the blocks, not on the label values, and is
+    memoised per pair of blockings up to degree ``MEMO_DEGREE``, so the
+    tuple is shared between callers; larger degrees are built afresh.
+
     >>> young_subgroup_images((1, 2, 1))
-    [(1, 2, 3), (3, 2, 1)]
+    ((1, 2, 3), (3, 2, 1))
     >>> young_subgroup_images((1, 1, 1), fine=(1, 2, 2))
-    [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
+    ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     """
+    key = (_blocks(labels), None if fine is None else _blocks(fine))
+    if len(key[0]) > MEMO_DEGREE:
+        return _young_subgroup.__wrapped__(*key)
+    return _young_subgroup(*key)
+
+
+@lru_cache(maxsize=None)
+def _young_subgroup(
+    labels: tuple[int, ...], fine: tuple[int, ...] | None
+) -> tuple[tuple[int, ...], ...]:
+    """``young_subgroup_images`` of labellings renamed by ``_blocks``."""
     blocks = [block for block in _positions(labels).values() if len(block) > 1]
     choices = []
     for block in blocks:
@@ -247,4 +315,5 @@ def young_subgroup_images(
             for src, dst in zip(block, targets):
                 images[src - 1] = dst
         out.append(tuple(images))
-    return out
+    return tuple(out)
+

@@ -141,8 +141,19 @@ def wg_character_table(k: int) -> tuple[Irrep, ...]:
     return tuple(irreps)
 
 
+class ClassTable(dict):
+    """Weingarten values by cycle type, mu -> Fraction, that also keep the
+    integer numerators of the values over their common denominator, so a
+    weighed sum of values is one integer dot product and one Fraction."""
+
+    def __init__(self, numerators: dict[tuple[int, ...], int], denominator: int):
+        super().__init__((mu, Fraction(a, denominator)) for mu, a in numerators.items())
+        self.numerators = numerators
+        self.denominator = denominator
+
+
 @lru_cache(maxsize=None)
-def wg_class_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
+def wg_class_table(k: int, n: int) -> ClassTable:
     """Exact Weingarten values at degree k and dimension n, one per cycle
     type, for every k >= 1 and n >= 1:
 
@@ -154,20 +165,20 @@ def wg_class_table(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
     degree, where that system is singular, it is the Moore-Penrose
     solution, which Haar entry moments at dimension n use.
 
-    Safe for concurrent reads once built; memoized per (k, n).
+    The numerators over the lcm of the per-shape denominators are kept
+    beside the values (``ClassTable``).  Safe for concurrent reads once
+    built; memoized per (k, n).
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     irreps = [irrep for irrep in wg_character_table(k) if len(irrep.shape) <= n]
     denominators = [irrep.hook * math.prod(n + c for c in irrep.contents) for irrep in irreps]
     common = math.lcm(*denominators)
-    return {
-        mu: Fraction(
-            sum(irrep.characters[mu] * (common // d) for irrep, d in zip(irreps, denominators)),
-            common,
-        )
+    numerators = {
+        mu: sum(irrep.characters[mu] * (common // d) for irrep, d in zip(irreps, denominators))
         for mu in integer_partitions(k)
     }
+    return ClassTable(numerators, common)
 
 
 def monotone_counts(k: int, r_max: int) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -118,6 +118,12 @@ class TestWgCommand:
         assert code == 2
         assert "usage error" in err
 
+    def test_bad_j_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "wg", "--k", "3", "--n", "10", "--j", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "j" in err
+
 
 class TestEntryMomentCommand:
     def test_single_entry(self, capsys):
@@ -171,6 +177,19 @@ class TestEntryMomentCommand:
         expect = Fraction(math.factorial(k), math.factorial(k + 1))
         assert result.stdout.strip() == f"entry moment = {expect}"
         assert expect == Fraction(1, k + 1)
+
+    def test_negative_mc_samples_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys,
+            "entry-moment",
+            "--n", "3",
+            "--rows", "1", "--cols", "1",
+            "--conj-rows", "1", "--conj-cols", "1",
+            "--mc-samples", "-5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
 
     def test_out_of_range_index(self, capsys):
         code, _, err = run(
@@ -470,6 +489,12 @@ class TestSpectrumExperimentCommand:
         assert out == ""
         assert err.startswith("usage error: n_grid ") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    def test_empty_deltas(self, capsys, tmp_path):
+        err = self._usage_error(
+            capsys, tmp_path, {"experiment": "tail", "profile": "1,2", "deltas": []}
+        )
+        assert err.startswith("usage error: deltas ")
 
     def test_unknown_experiment_kind(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -214,15 +214,15 @@ class TestRouteCensuses:
         # stabilizers and universe are filtered out of all of S_k
         words = []
 
-        def record(spec):
-            words.append(spec.conj_rows + spec.conj_cols[-1:] if statistic == "uu" else spec.conj_rows)
-            return Counter()
+        def record(rows, cols, conj_rows, conj_cols):
+            words.append(conj_rows + conj_cols[-1:] if statistic == "uu" else conj_rows)
+            return ()
 
-        monkeypatch.setattr(exact_moments, "entry_census", record)
+        monkeypatch.setattr(exact_moments, "word_census", record)
         group = list(itertools.permutations(range(1, k + 1)))
         universe = [phi for phi in group if statistic == "sq" or (phi[0], phi[-1]) == (1, k)]
-        assert young_subgroup_images(
-            exact_moments._young_labels(statistic, (1,) * k)
+        assert list(
+            young_subgroup_images(exact_moments._young_labels(statistic, (1,) * k))
         ) == universe
         for pattern in equality_patterns(k):
             stab = [a for a in universe if all(pattern[a[l] - 1] == pattern[l] for l in range(k))]
@@ -259,6 +259,25 @@ class TestRouteCensuses:
 
         route_censuses.cache_clear()
         monkeypatch.setattr(exact_moments, "_route_b_census", skewed)
+        try:
+            with pytest.raises(CrossCheckError, match=r"\(1, 2, 1, 2\)"):
+                route_censuses("uu", pattern)
+            with pytest.raises(CrossCheckError):
+                f_i((5, 3, 5, 3), 6)
+        finally:
+            route_censuses.cache_clear()
+
+    def test_route_a_mismatch_raises_naming_the_pattern(self, monkeypatch):
+        pattern = (1, 2, 1, 2)
+        real = exact_moments._route_a_census
+
+        def skewed(statistic, pat):
+            census = real(statistic, pat)
+            census[(1,) * (len(pat) - 1)] += 1
+            return census
+
+        route_censuses.cache_clear()
+        monkeypatch.setattr(exact_moments, "_route_a_census", skewed)
         try:
             with pytest.raises(CrossCheckError, match=r"\(1, 2, 1, 2\)"):
                 route_censuses("uu", pattern)

@@ -125,6 +125,26 @@ class TestEntryCensus:
         assert entry_moment(spec) == census_value(entry_census(spec), wg_class_table(3, n))
 
 
+    def test_integer_value_is_the_fraction_sum(self):
+        # one integer dot product over the table's common denominator gives
+        # the Fraction that summing count * value type by type gives
+        rng = random.Random(20261020)
+        for k in range(1, MAX_WORD_LENGTH + 1):
+            for _ in range(4):
+                census = entry_census(random_word(rng, k, rng.randint(1, 4), balanced=True))
+                assert census
+                for n in range(1, 17):
+                    table = wg_class_table(k, n)
+                    expect = sum(
+                        (count * table[lam] for lam, count in census.items()), Fraction(0)
+                    )
+                    value = census_value(census, table)
+                    assert (value.numerator, value.denominator) == (
+                        expect.numerator,
+                        expect.denominator,
+                    ), (k, n, census)
+
+
 class TestEntryCensusOracle:
     """The coset count equals the census over every matching pair."""
 
@@ -232,18 +252,35 @@ class TestShapeMemo:
     def test_one_build_per_shape(self, cold_memo, monkeypatch):
         shapes = []
 
-        def counted(spec):
-            shapes.append(haar_moments._canonical_word(spec))
-            return entry_census(spec)
+        def counted(*word):
+            shapes.append(haar_moments._canonical_word(*word))
+            return haar_moments.word_census(*word)
 
-        monkeypatch.setattr(exact_moments, "entry_census", counted)
+        monkeypatch.setattr(exact_moments, "word_census", counted)
         for statistic, orders in (("uu", range(2, 7)), ("sq", range(1, 6))):
             for k in orders:
                 for pattern in exact_moments.equality_patterns(k):
                     exact_moments.route_censuses(statistic, pattern)
         misses = haar_moments._word_census.cache_info().misses
-        assert misses == len(set(shapes)) == 1444
+        assert misses == len(set(shapes)) == 1333
         assert misses < len(shapes) == 4069
+
+    def test_swapped_sides_share_a_key(self, cold_memo):
+        # the word with its unconjugated and conjugated factors exchanged has
+        # the same census, and the memo keeps one build for both
+        rng = random.Random(20261021)
+        for _ in range(60):
+            k, n = rng.randint(1, 5), rng.randint(1, 4)
+            spec = random_word(rng, k, n, balanced=rng.random() < 0.7)
+            swapped = MomentSpec(n, spec.conj_rows, spec.conj_cols, spec.rows, spec.cols)
+            assert haar_moments._canonical_word(
+                spec.rows, spec.cols, spec.conj_rows, spec.conj_cols
+            ) == haar_moments._canonical_word(
+                swapped.rows, swapped.cols, swapped.conj_rows, swapped.conj_cols
+            )
+            expect = pairwise_entry_census(spec)
+            assert pairwise_entry_census(swapped) == expect, spec
+            assert entry_census(spec) == entry_census(swapped) == expect, spec
 
     def test_returned_census_is_fresh(self, cold_memo):
         spec = MomentSpec(3, (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2))

@@ -355,6 +355,14 @@ class TestTailExperiment:
         with pytest.raises(ValueError):
             tail_experiment(profile, [0.1], replications=0, seed=0)
 
+    def test_empty_deltas_rejected_before_sampling(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled before the deltas were checked")
+
+        monkeypatch.setattr(montecarlo, "haar_batch", no_draw)
+        with pytest.raises(ValueError, match="deltas"):
+            tail_experiment(SingularProfile.uniform_grid(0.5, 2.0, 8), [], 2, seed=0)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
         fam = ProfileFamily("constant", 1.0)

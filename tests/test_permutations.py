@@ -10,16 +10,20 @@ Oracles used here:
 """
 
 import itertools
+import random
 from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ringmoments.permutations import (
+    MEMO_DEGREE,
     Permutation,
     all_permutations,
     compose_images,
+    composites,
     cycle_type_of_product,
+    cycle_types_of_products,
     enumerate_sk0,
     invert_images,
     young_subgroup_images,
@@ -128,6 +132,18 @@ class TestAlgebra:
         assert cycle_type_of_product(a, b) == (3,)
 
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_batched_products_match_the_cycle_walk(self, k):
+        # the tabulated degrees, the walked ones above them, and degree 1
+        rng = random.Random(k)
+        ps = [tuple(rng.sample(range(1, k + 1), k)) for _ in range(30)]
+        qs = [tuple(rng.sample(range(1, k + 1), k)) for _ in range(4)]
+        assert composites(ps, qs[0]) == [compose_images(p, qs[0]) for p in ps]
+        assert cycle_types_of_products(ps, qs) == [
+            cycle_type_of_product(p, q) for q in qs for p in ps
+        ]
+
+
 class TestCycleStructure:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_distance_equals_bfs(self, k):
@@ -223,6 +239,18 @@ class TestGroupEnumeration:
             assert stab
             for a in stab:
                 assert tuple(i[a[x - 1] - 1] for x in range(1, 5)) == i
+
+    def test_memo_is_shared_per_blocking(self):
+        # relabelled labels name the same blocks and get the same tuple back;
+        # above MEMO_DEGREE each call builds its own
+        assert young_subgroup_images((5, 7, 5), fine=("a", "b", "c")) is young_subgroup_images(
+            (1, 2, 1), fine=(1, 2, 3)
+        )
+        deep = (1,) * (MEMO_DEGREE + 1)
+        first = young_subgroup_images(deep, fine=(1,) * MEMO_DEGREE + (2,))
+        again = young_subgroup_images(deep, fine=(1,) * MEMO_DEGREE + (2,))
+        assert first == again and first is not again
+        assert len(first) == MEMO_DEGREE + 1
 
     def test_coset_representatives_partition_group(self):
         # the inverses of the representatives refined by the pattern's labels
