@@ -316,4 +316,3 @@ def _young_subgroup(
                 images[src - 1] = dst
         out.append(tuple(images))
     return tuple(out)
-
