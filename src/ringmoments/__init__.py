@@ -1,5 +1,8 @@
 """Exact Haar-unitary moment calculus and spectral-radius experiments for
-random matrices with prescribed singular values."""
+random matrices with prescribed singular values.
+
+The names here are the exact half, in pure Python.  The sampling half and
+its array dependency load only with ``import ringmoments.montecarlo``."""
 
 from .exact_moments import (
     BoundReport,
@@ -15,20 +18,6 @@ from .exact_moments import (
     verify_counting_lemma,
 )
 from .haar_moments import MomentSpec, entry_moment
-from .montecarlo import (
-    EigensolverError,
-    ExperimentRecord,
-    MomentEstimate,
-    ProfileFamily,
-    RateFit,
-    estimate_trace_moment,
-    extreme_eigenvalues,
-    mc_entry_moment,
-    radius_rate_experiment,
-    rng_stream,
-    spectrum_records,
-    tail_experiment,
-)
 from .permutations import (
     Permutation,
     all_permutations,
@@ -54,13 +43,8 @@ __all__ = [
     "CensusReport",
     "CountingCheck",
     "CrossCheckError",
-    "EigensolverError",
-    "ExperimentRecord",
-    "MomentEstimate",
     "MomentSpec",
     "Permutation",
-    "ProfileFamily",
-    "RateFit",
     "SingularProfile",
     "WeingartenValue",
     "WgBound",
@@ -68,16 +52,9 @@ __all__ = [
     "composition_census",
     "enumerate_sk0",
     "entry_moment",
-    "estimate_trace_moment",
-    "extreme_eigenvalues",
     "f_i",
     "g_i",
-    "mc_entry_moment",
     "monotone_counts",
-    "radius_rate_experiment",
-    "rng_stream",
-    "spectrum_records",
-    "tail_experiment",
     "theorem_bound",
     "trace_moment_sq",
     "trace_moment_uu",

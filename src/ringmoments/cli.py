@@ -39,17 +39,6 @@ from .exact_moments import (
     verify_counting_lemma,
 )
 from .haar_moments import MomentSpec, entry_moment
-from .montecarlo import (
-    EigensolverError,
-    ExperimentRecord,
-    ProfileFamily,
-    estimate_trace_moment,
-    mc_entry_moment,
-    radius_rate_experiment,
-    tail_experiment,
-    write_records_csv,
-    write_records_jsonl,
-)
 from .permutations import Permutation, enumerate_sk0
 from .profiles import SingularProfile
 from .weingarten import (
@@ -67,11 +56,8 @@ RADIUS_RATE_KEYS = {"experiment", "seed", "replications", "family", "n_grid"}
 TAIL_KEYS = {"experiment", "seed", "replications", "profile", "deltas"}
 FAMILY_KEYS = {"kind", "lo", "hi"}
 
-# --format -> (records writer, records file suffix)
-RECORD_FORMATS = {
-    "csv": (write_records_csv, "csv"),
-    "json": (write_records_jsonl, "jsonl"),
-}
+# --format -> records file suffix; montecarlo.write_records_<suffix> writes it
+RECORD_FORMATS = {"csv": "csv", "json": "jsonl"}
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -161,7 +147,10 @@ def _cmd_entry_moment(args) -> int:
     )
     exact = entry_moment(spec)
     # before printing, so a bad --mc-samples is rejected with nothing printed
-    est = mc_entry_moment(spec, args.mc_samples, args.seed) if args.mc_samples else None
+    est = None
+    if args.mc_samples:
+        from .montecarlo import mc_entry_moment
+        est = mc_entry_moment(spec, args.mc_samples, args.seed)
     print(f"entry moment = {exact}")
     if est is not None:
         print(f"mc mean = {est.mean!r}  std error = {est.std_error!r}")
@@ -246,10 +235,13 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_mc_moment(args) -> int:
+    from . import montecarlo
     profile = parse_profile(args.profile)
     if args.output:
         _check_output_dir(args)
-    est = estimate_trace_moment(args.k, profile, args.samples, args.seed, args.mode)
+    est = montecarlo.estimate_trace_moment(
+        args.k, profile, args.samples, args.seed, args.mode
+    )
     print(f"statistic = {est.statistic}  k = {args.k}  n = {profile.n}")
     print(f"mc mean = {est.mean!r}")
     print(f"mc std error = {est.std_error!r}")
@@ -267,7 +259,7 @@ def _cmd_mc_moment(args) -> int:
     if args.output:
         path = _output_path(args, args.output)
         records = [
-            ExperimentRecord(
+            montecarlo.ExperimentRecord(
                 n=profile.n, k=args.k, seed=args.seed,
                 stat=f"{est.statistic}_{name}", value=value,
                 b=profile.b, a=profile.a,
@@ -275,7 +267,7 @@ def _cmd_mc_moment(args) -> int:
             )
             for name, value in (("mean", est.mean), ("stderr", est.std_error))
         ]
-        writer, _ = RECORD_FORMATS[args.format]
+        writer = getattr(montecarlo, f"write_records_{RECORD_FORMATS[args.format]}")
         writer(records, str(path))
         print(f"wrote {path}")
     return 0
@@ -325,6 +317,7 @@ def _config_list(value, key: str, item) -> list:
 
 
 def _cmd_spectrum_experiment(args) -> int:
+    from . import montecarlo
     _check_output_dir(args)
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
@@ -332,20 +325,21 @@ def _cmd_spectrum_experiment(args) -> int:
     kind = config.get("experiment")
     seed = _config_int(config.get("seed", 0), "seed")
     replications = _config_int(config.get("replications", 16), "replications")
-    writer, suffix = RECORD_FORMATS[args.format]
+    suffix = RECORD_FORMATS[args.format]
+    writer = getattr(montecarlo, f"write_records_{suffix}")
     if kind == "radius-rate":
         _reject_unknown_keys(config, RADIUS_RATE_KEYS, kind)
         family_cfg = _config_field(config, "family", kind)
         if not isinstance(family_cfg, dict):
             raise ValueError("radius-rate family must be a JSON object")
         _reject_unknown_keys(family_cfg, FAMILY_KEYS, "family")
-        family = ProfileFamily(
+        family = montecarlo.ProfileFamily(
             kind=_config_field(family_cfg, "kind", "family"),
             lo=_config_number(family_cfg.get("lo", 1.0), "lo"),
             hi=_config_number(family_cfg.get("hi", 1.0), "hi"),
         )
         n_grid = _config_list(_config_field(config, "n_grid", kind), "n_grid", _config_int)
-        records, fit = radius_rate_experiment(
+        records, fit = montecarlo.radius_rate_experiment(
             family, n_grid, replications, seed, args.jobs
         )
         records_path = _output_path(args, f"radius_rate_records.{suffix}")
@@ -363,7 +357,9 @@ def _cmd_spectrum_experiment(args) -> int:
             raise ValueError(f"config key 'profile' must be a string, got {profile_text!r}")
         profile = parse_profile(profile_text)
         deltas = _config_list(_config_field(config, "deltas", kind), "deltas", _config_number)
-        records, points = tail_experiment(profile, deltas, replications, seed, args.jobs)
+        records, points = montecarlo.tail_experiment(
+            profile, deltas, replications, seed, args.jobs
+        )
         records_path = _output_path(args, f"tail_records.{suffix}")
         writer(records, str(records_path))
         curve_path = _output_path(args, "tail_curve.csv")
@@ -460,7 +456,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrossCheckError, EigensolverError, RuntimeError) as exc:
+    # CrossCheckError and montecarlo's EigensolverError are RuntimeErrors
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

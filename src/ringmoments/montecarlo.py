@@ -13,6 +13,10 @@ no matrix product.  The matrix law of T W is not that of U T V (its rows
 have the fixed norms s_i), so the samplers of A are for similarity-invariant
 statistics only.  ``mc_entry_moment`` samples the Haar matrix itself.
 
+The only module of the package that imports numpy.  A profile is sampled
+through its float view ``_float_values``, which rejects a profile whose
+entries, b or a lie beyond the float range.
+
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
 items (replications) own disjoint stream indices and results are merged by
@@ -34,7 +38,9 @@ import numpy as np
 from .haar_moments import MomentSpec
 from .profiles import SingularProfile
 
+# a batch holds at most _BATCH matrices and _BATCH_ENTRIES matrix entries
 _BATCH = 4096
+_BATCH_ENTRIES = 2**20
 
 
 class EigensolverError(RuntimeError):
@@ -82,13 +88,28 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _float_values(profile: SingularProfile) -> np.ndarray:
+    """The entries of ``profile`` as a float array.  A ValueError naming the
+    profile when an entry, b or a lies beyond the float range."""
+    try:
+        s = np.array([float(v) for v in profile.values])
+        finite = math.isfinite(profile.b) and math.isfinite(profile.a)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite or not np.all(np.isfinite(s)):
+        raise ValueError(f"profile of n = {profile.n} cannot be sampled: an "
+                         "entry, b or a lies beyond the float range")
+    return s
+
+
 def sample_A_batch(
     profile: SingularProfile, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` draws of T W from one ``haar_batch`` call: row i of each
     Haar W scaled by s_i.  Each is unitarily similar to a draw of U T V."""
+    s = _float_values(profile)
     w = haar_batch(profile.n, count, rng)
-    w *= profile.as_float_array()[:, None]
+    w *= s[:, None]
     return w
 
 
@@ -123,14 +144,16 @@ def _batched_estimate(
     n: int,
 ) -> MomentEstimate:
     """Mean and standard error of ``samples`` values drawn on the stream
-    ``rng_stream(seed)`` in batches of at most ``_BATCH``: ``batch(b, rng)``
-    returns the next b values.  A non-finite mean or standard error raises
-    ``OverflowGuardError``."""
+    ``rng_stream(seed)`` in batches of n x n matrices, as many as the bounds
+    ``_BATCH`` and ``_BATCH_ENTRIES`` allow: ``batch(b, rng)`` returns the
+    next b values.  The stream is read in the same order at any batch size.
+    A non-finite mean or standard error raises ``OverflowGuardError``."""
     rng = rng_stream(seed)
     vals = np.empty(samples, dtype=float)
+    size = max(1, min(_BATCH, _BATCH_ENTRIES // (n * n)))
     done = 0
     while done < samples:
-        b = min(_BATCH, samples - done)
+        b = min(size, samples - done)
         vals[done : done + b] = batch(b, rng)
         done += b
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,6 +410,7 @@ def tail_experiment(
     must be at least one delta."""
     if not deltas:
         raise ValueError(f"deltas must be a nonempty list, got {list(deltas)}")
+    _float_values(profile)  # rejected before any replication runs
     # grid position 0, so replication rep owns stream index rep
     records = spectrum_records(
         _FixedProfileFamily(profile), [profile.n], replications, seed, jobs

@@ -3,7 +3,7 @@
 A profile is the ordered tuple (s_1, ..., s_n) of prescribed singular values.
 Profiles come in two arithmetic modes: exact (every entry an int or Fraction,
 normalized to Fraction) and float.  Exact trace moments require the exact
-mode; Monte-Carlo code reads the float view of either mode.
+mode; ``montecarlo`` builds the float view of either mode that it samples.
 
 Derived quantities are properties, recomputed on access:
 
@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
@@ -105,9 +103,6 @@ class SingularProfile:
     @property
     def a(self) -> float:
         return math.sqrt(self.a2)
-
-    def as_float_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
 
     def to_exact(self) -> "SingularProfile":
         """Rational approximation of a float profile.  Each entry moves by at

@@ -422,6 +422,23 @@ class TestMcMomentCommand:
         assert "is not a directory" in err
         assert afile.read_text() == ""
 
+    def test_profile_beyond_floats_exits_two_before_the_estimate(self, capsys, tmp_path):
+        out_dir = tmp_path / "new"
+        code, out, err = run(
+            capsys,
+            "mc-moment", "--k", "2", "--profile", "1e400,1", "--samples", "10",
+            "--output", "r.csv", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: profile ") and err.count("\n") == 1
+        assert "beyond the float range" in err
+        assert not out_dir.exists()
+        # the exact half holds the same profile exactly
+        code, out, _ = run(capsys, "exact-moment", "--k", "2", "--profile", "1e400,1")
+        assert code == 0
+        assert "exact moment (float) = beyond the float range" in out
+
     def test_non_finite_estimate_exits_one(self, capsys):
         code, out, err = run(capsys, "mc-moment", "--k", "40", "--profile", "1000,2000")
         assert code == 1
@@ -666,6 +683,9 @@ class TestSpectrumExperimentCommand:
                 "1",
             ),
             ({"experiment": "tail", "profile": "1,2", "deltas": [0.1]}, "0"),
+            # an entry, and then b, beyond the float range
+            ({"experiment": "tail", "profile": "1e400,1", "deltas": [0.1]}, "1"),
+            ({"experiment": "tail", "profile": "1e200,1", "deltas": [0.1]}, "2"),
         ],
     )
     def test_rejected_run_creates_no_directory(self, capsys, tmp_path, payload, jobs):
@@ -724,6 +744,26 @@ class TestProcessLevel:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        # the sampling layer, the only one that imports numpy, loads on demand
+        code = "\n".join([
+            "import sys",
+            "import ringmoments, ringmoments.cli",
+            "for argv in (",
+            "    ['wg', '--k', '4', '--n', '8', '--r-max', '6'],",
+            "    ['exact-moment', '--k', '3', '--profile', '1,2,3', '--census'],",
+            "    ['entry-moment', '--n', '3', '--rows', '1,2', '--cols', '1,2',",
+            "     '--conj-rows', '1,2', '--conj-cols', '2,1'],",
+            "    ['verify-lemmas', '--k', '3'],",
+            "):",
+            "    assert ringmoments.cli.main(argv) == 0, argv",
+            "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_module_runs_byte_identical(self, tmp_path):
         argv = [

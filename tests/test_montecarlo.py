@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,10 +126,27 @@ class TestSamplers:
 
     def test_sample_A_batch_is_one_scaled_haar_draw(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
-        s = profile.as_float_array()
+        s = montecarlo._float_values(profile)
         drawn = sample_A_batch(profile, 5, rng_stream(31, 2))
         expected = s[:, None] * haar_batch(4, 5, rng_stream(31, 2))
         assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (Fraction(10**400), 1),  # an entry
+            (Fraction(10**200), 1),  # b
+            (1e200, 1.0),  # b, whose square sum is inf in floats
+            (1e-200, 1.0),  # a, whose reciprocal square sum overflows
+        ],
+    )
+    def test_profile_beyond_floats_is_rejected_before_sampling(self, values):
+        profile = SingularProfile.from_values(values)
+        rng = rng_stream(3)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            sample_A_batch(profile, 1, rng)
+        # nothing was drawn from the stream
+        assert np.array_equal(rng.standard_normal(4), rng_stream(3).standard_normal(4))
 
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
@@ -198,8 +216,8 @@ class TestEstimates:
         assert a.mean != c.mean
 
     def test_estimates_draw_batches_in_turn_from_one_stream(self):
-        # one batch of _BATCH draws and a short one, both from rng_stream(seed)
-        sizes = (montecarlo._BATCH, 3)
+        # one full batch of 3 x 3 draws and a short one, both from rng_stream(seed)
+        sizes = (min(montecarlo._BATCH, montecarlo._BATCH_ENTRIES // 3**2), 3)
         profile = SingularProfile.from_values([0.5, 1.0, 2.0])
         rng = rng_stream(7)
         traces = np.concatenate([
@@ -217,6 +235,26 @@ class TestEstimates:
             for u in (haar_batch(3, b, rng) for b in sizes)
         ])
         assert mc_entry_moment(spec, sum(sizes), 7).mean == float(words.mean())
+
+    def test_batches_stay_within_the_entry_bound(self, monkeypatch):
+        # _BATCH matrices at n = 512 would be 16 GiB of normals; the fake
+        # haar_batch records the count and raises before anything is drawn
+        n, counts = 512, []
+
+        class Recorded(Exception):
+            pass
+
+        def record(dim, count, rng):
+            counts.append(count)
+            raise Recorded
+
+        monkeypatch.setattr(montecarlo, "haar_batch", record)
+        with pytest.raises(Recorded):
+            estimate_trace_moment(2, SingularProfile.constant(1, n), 10000, 0)
+        with pytest.raises(Recorded):
+            mc_entry_moment(MomentSpec(n, (1,), (1,), (1,), (1,)), 10000, 0)
+        assert len(counts) == 2
+        assert all(1 <= c and c * n * n <= montecarlo._BATCH_ENTRIES for c in counts)
 
     def test_validation(self):
         profile = SingularProfile.from_values([1.0, 2.0])
