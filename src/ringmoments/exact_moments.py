@@ -19,6 +19,14 @@ case of the Jacobi-Trudi identity (Macdonald, Symmetric Functions, I.3)
 
     s_{h_r} = sum_{j=0}^{r} (-1)^j h_{k-r+j}(x) e_{r-j}(x).
 
+Added up, the sums of two neighbouring hooks cancel to one term, which is
+Pieri's rule for hooks (Macdonald I.5):
+
+    h_{k-r}(x) e_r(x) = s_{h_r}(x) + s_{h_{r-1}}(x),    1 <= r < k,
+
+so s_{h_0} = h_k and s_{h_r} = h_{k-r} e_r - s_{h_{r-1}}, one product per
+hook; the evaluation uses this recursion.
+
 Hooks with more than n rows are left out: their Schur polynomials vanish in
 n variables.  Then
 
@@ -73,9 +81,11 @@ both moments are polynomials in x with nonnegative coefficients, and
 neither falls when one s_i rises.
 
 Evaluation is in integers: the x_i are put over their common denominator D,
-e_j and h_j of the numerators come from O(n k) integer recursions, the
-coefficients are cached per (statistic, k, n) as integer numerators over one
-denominator, and a single Fraction is built at the end.
+e_j and h_j of the numerators come from O(n k) integer running sums over the
+variables, one ``itertools.accumulate`` per order, the Schur polynomials
+from the Pieri recursion, the coefficients are cached per (statistic, k, n)
+as integer numerators over one denominator, and a single Fraction is built
+at the end.
 
 Certification by the Weingarten census
 --------------------------------------
@@ -127,7 +137,7 @@ of length n.  A mismatch raises ``CrossCheckError``.
 The counting chain
 ------------------
 ``composition_census`` evaluates its first links in closed form from the
-same integer e_j and h_j recursion the hook sums use:
+same integer e_j and h_j running sums the hook sums use:
 
     L0 = p_1(x)^2 (k-2)! h_{k-2}(x),    L1 = k! h_k(x).
 
@@ -148,6 +158,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Literal, Sequence
 
 from .haar_moments import census_value, word_census
@@ -482,13 +494,17 @@ def _hook_coefficients(
 
 
 def _hook_schurs(e: Sequence[int], h: Sequence[int], k: int, hooks: int) -> list[int]:
-    """s_(k-r, 1^r) = sum_{j<=r} (-1)^j h_{k-r+j} e_{r-j} for r < ``hooks``,
-    the hook case of the Jacobi-Trudi identity, from the elementary
-    (``e``) and complete (``h``) symmetric values."""
-    return [
-        sum((-1) ** j * h[k - r + j] * e[r - j] for j in range(r + 1))
-        for r in range(hooks)
-    ]
+    """s_(k-r, 1^r) for r < ``hooks`` from the elementary (``e``) and complete
+    (``h``) symmetric values, by Pieri's rule for hooks (Macdonald I.5)
+
+        h_{k-r} e_r = s_(k-r, 1^r) + s_(k-r+1, 1^(r-1)),    1 <= r < k,
+
+    so s_0 = h_k and s_r = h_{k-r} e_r - s_{r-1}: O(hooks) products where the
+    Jacobi-Trudi alternating sum takes O(hooks^2)."""
+    schurs = [h[k]] if hooks > 0 else []
+    for r in range(1, hooks):
+        schurs.append(h[k - r] * e[r] - schurs[-1])
+    return schurs
 
 
 @lru_cache(maxsize=None)
@@ -504,9 +520,10 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
     K(h_r, lam).  Equal coefficients for every lam make the two the same
     polynomial in x, so the check covers every profile of length n.
 
-    K(h_r, lam) = C(l(lam) - 1, r) is read off the same Jacobi-Trudi
-    combination the evaluation uses: the coefficient of x^lam in
-    h_{k-b} e_b is C(l(lam), b), whatever the parts of lam.
+    K(h_r, lam) = C(l(lam) - 1, r) is read off the same Pieri recursion
+    the evaluation uses (``_hook_schurs``): the coefficient of x^lam in
+    h_{k-b} e_b is C(l(lam), b), whatever the parts of lam, and
+    C(l, r) - C(l - 1, r - 1) = C(l - 1, r).
 
     Runs inside the census orders (uu: 2 <= k <= MAX_UU_ORDER; sq:
     k <= MAX_SQ_ORDER) at every n >= 1, and is a no-op beyond them.  A
@@ -548,20 +565,30 @@ def _scaled_symmetric_sums(
     integers, with X_i = D x_i the squared singular values x_i = s_i^2 over
     D, the lcm of their denominators.
 
-    The one-variable-at-a-time recursions take O(n (e_max + h_max)) integer
-    steps; e_j(x) = e_j(X) / D^j and h_j(x) = h_j(X) / D^j.
+    Running sums over the variables, one column per order j: with E_j[m] and
+    H_j[m] the values at X_1 .. X_m,
+
+        E_j[m] = E_j[m-1] + X_m E_{j-1}[m-1],    H_j[m] = H_j[m-1] + X_m H_{j-1}[m],
+
+    so each column is ``accumulate`` over the products with the previous
+    one, O(n (e_max + h_max)) integer steps in all with the loop over the
+    variables in C; e_j(x) = E_j[n] / D^j and h_j(x) = H_j[n] / D^j.
     """
     # s_i = p_i / q_i in lowest terms, so x_i = p_i^2 / q_i^2 is too, and
     # D = lcm(q_i)^2 with X_i = (p_i * (lcm(q_i) // q_i))^2 needs no Fraction
-    root = math.lcm(*(v.denominator for v in profile.values))
-    xs = [(v.numerator * (root // v.denominator)) ** 2 for v in profile.values]
-    e = [1] + [0] * e_max
-    h = [1] + [0] * h_max
-    for x in xs:
-        for j in range(e_max, 0, -1):
-            e[j] += x * e[j - 1]
-        for j in range(1, h_max + 1):
-            h[j] += x * h[j - 1]
+    ratios = [v.as_integer_ratio() for v in profile.values]
+    root = math.lcm(*(q for _, q in ratios))
+    xs = [(p * (root // q)) ** 2 for p, q in ratios]
+    e, h = [1], [1]
+    column = [1] * (len(xs) + 1)  # E_0[m], m = 0..n
+    for _ in range(e_max):
+        # E_j[0] = 0, and map pairs X_m with E_{j-1}[m-1] and stops at X_n
+        column = list(accumulate(map(mul, xs, column), initial=0))
+        e.append(column[-1])
+    column = [1] * len(xs)  # H_0[m], m = 1..n
+    for _ in range(h_max):
+        column = list(accumulate(map(mul, xs, column)))
+        h.append(column[-1])
     return e, h, root * root
 
 
@@ -581,7 +608,7 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     numerators, denominator = _hook_coefficients(statistic, k, n)
     hooks = len(numerators)
     e, h, scale = _scaled_symmetric_sums(profile, hooks - 1, k)
-    total = sum(a * s for a, s in zip(numerators, _hook_schurs(e, h, k, hooks)))
+    total = sum(map(mul, numerators, _hook_schurs(e, h, k, hooks)))
     return Fraction(total, denominator * scale**k)
 
 

@@ -15,7 +15,7 @@ statistics only.  ``mc_entry_moment`` samples the Haar matrix itself.
 
 The only module of the package that imports numpy.  A profile is sampled
 through its float view ``_float_values``, which rejects a profile whose
-entries, b or a lie beyond the float range.
+entries or b lie beyond the float range.
 
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
@@ -90,15 +90,16 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def _float_values(profile: SingularProfile) -> np.ndarray:
     """The entries of ``profile`` as a float array.  A ValueError naming the
-    profile when an entry, b or a lies beyond the float range."""
+    profile when an entry or b lies beyond the float range; a <= b then
+    lies within it."""
     try:
         s = np.array([float(v) for v in profile.values])
-        finite = math.isfinite(profile.b) and math.isfinite(profile.a)
-    except (OverflowError, ZeroDivisionError):
+        finite = math.isfinite(profile.b)
+    except OverflowError:
         finite = False
     if not finite or not np.all(np.isfinite(s)):
         raise ValueError(f"profile of n = {profile.n} cannot be sampled: an "
-                         "entry, b or a lies beyond the float range")
+                         "entry or b lies beyond the float range")
     return s
 
 

@@ -121,20 +121,6 @@ class Permutation:
         return cls(tuple(range(1, k + 1)))
 
     @classmethod
-    def transposition(cls, k: int, a: int, b: int) -> "Permutation":
-        """The swap (a b); equal arguments give the identity."""
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise ValueError(f"points {a}, {b} outside 1..{k}")
-        images = list(range(1, k + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
-
-    @classmethod
-    def full_cycle(cls, k: int) -> "Permutation":
-        """The k-cycle sending 1 -> 2 -> ... -> k -> 1."""
-        return cls(tuple(range(2, k + 1)) + (1,))
-
-    @classmethod
     def from_cycles(cls, k: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
         """Product of the given cycles, rightmost cycle applied first.
 

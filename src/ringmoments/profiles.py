@@ -10,7 +10,9 @@ Derived quantities are properties, recomputed on access:
 * M, m: largest and smallest singular value,
 * b2 = (1/n) * sum s_i^2 and b = sqrt(b2),
 * a2 = n / sum s_i^(-2) and a = sqrt(a2), with a = 0 as soon as some
-  s_i == 0 (the reciprocal sum is infinite).
+  s_i == 0 (the reciprocal sum is infinite).  In float mode a is computed
+  with the entries scaled by a power of two near m, so it is a float
+  whenever the entries are, even where s_i^2 or a2 underflow.
 """
 
 from __future__ import annotations
@@ -102,7 +104,13 @@ class SingularProfile:
 
     @property
     def a(self) -> float:
-        return math.sqrt(self.a2)
+        if self.is_exact or self.m == 0:
+            return math.sqrt(self.a2)
+        # p = 2^e with m / 2 < p <= m: no scaled square underflows, and a
+        # power-of-two scale is exact, so a has the bits of sqrt(a2)
+        # wherever a2 has no underflow
+        p = math.ldexp(1.0, math.frexp(self.m)[1] - 1)
+        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in self.values)))
 
     def to_exact(self) -> "SingularProfile":
         """Rational approximation of a float profile.  Each entry moves by at

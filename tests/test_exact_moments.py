@@ -11,8 +11,11 @@ counting lemma against the word-by-word count.
 """
 
 import itertools
+import json
+import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,12 +42,15 @@ from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import (
     counting_lemma_distances,
+    full_cycle,
     ordered_injective_weight,
     power_sums,
     set_partition_terms,
     unfolded_route_b_census,
     weighted_patterns,
 )
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def brute_uu(k: int, profile: SingularProfile) -> Fraction:
@@ -725,6 +731,116 @@ class TestHookSums:
             trace_moment_sq(0, ramp(2))
 
 
+def jacobi_trudi_hook_schurs(e, h, k: int, hooks: int) -> list[int]:
+    """s_(k-r, 1^r) = sum_{j<=r} (-1)^j h_{k-r+j} e_{r-j}, the hook case of
+    the Jacobi-Trudi identity, term by term: the oracle of the Pieri
+    recursion in ``_hook_schurs``."""
+    return [
+        sum((-1) ** j * h[k - r + j] * e[r - j] for j in range(r + 1))
+        for r in range(hooks)
+    ]
+
+
+def row_symmetric_sums(profile: SingularProfile, e_max: int, h_max: int):
+    """e_j and h_j of the scaled squares, one variable at a time, with the
+    common denominator: the row form of ``_scaled_symmetric_sums``."""
+    root = math.lcm(*(v.denominator for v in profile.values))
+    xs = [(v.numerator * (root // v.denominator)) ** 2 for v in profile.values]
+    e = [1] + [0] * e_max
+    h = [1] + [0] * h_max
+    for x in xs:
+        for j in range(e_max, 0, -1):
+            e[j] += x * e[j - 1]
+        for j in range(1, h_max + 1):
+            h[j] += x * h[j - 1]
+    return e, h, root * root
+
+
+def row_jacobi_trudi_moment(statistic: str, k: int, profile: SingularProfile) -> Fraction:
+    """The hook sum evaluated by the row recursion and the Jacobi-Trudi sum,
+    times the production coefficients."""
+    numerators, denominator = exact_moments._hook_coefficients(statistic, k, profile.n)
+    hooks = len(numerators)
+    e, h, scale = row_symmetric_sums(profile, hooks - 1, k)
+    schurs = jacobi_trudi_hook_schurs(e, h, k, hooks)
+    return Fraction(sum(a * s for a, s in zip(numerators, schurs)), denominator * scale**k)
+
+
+class TestHookSumKernel:
+    """The e/h running sums against their definitions, the Pieri recursion
+    against Jacobi-Trudi, and the whole kernel against the row recursion
+    with Jacobi-Trudi, bit for bit."""
+
+    def test_symmetric_sums_match_their_definitions(self):
+        import random
+
+        rng = random.Random(20261020)
+        for n in (1, 1, 2, 3, 4, 5, 6):
+            values = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
+            x = [v * v for v in values]
+            for e_max, h_max in ((0, 0), (n - 1, 0), (n, 3), (n + 2, n + 3), (2, 6)):
+                e, h, scale = exact_moments._scaled_symmetric_sums(
+                    SingularProfile.from_values(values), e_max, h_max
+                )
+                assert len(e) == e_max + 1 and len(h) == h_max + 1
+                for j in range(e_max + 1):
+                    brute = sum(
+                        (math.prod(c) for c in itertools.combinations(x, j)), Fraction(0)
+                    )
+                    assert Fraction(e[j], scale**j) == brute, (values, j)
+                    if j > n:
+                        assert e[j] == 0
+                for j in range(h_max + 1):
+                    brute = sum(
+                        (math.prod(c) for c in itertools.combinations_with_replacement(x, j)),
+                        Fraction(0),
+                    )
+                    assert Fraction(h[j], scale**j) == brute, (values, j)
+
+    def test_pieri_recursion_matches_jacobi_trudi(self):
+        import random
+
+        rng = random.Random(20261021)
+        for k in range(1, 13):
+            for hooks in range(k + 1):
+                for _ in range(5):
+                    e = [1] + [rng.randint(-50, 50) for _ in range(k)]
+                    h = [rng.randint(-50, 50) for _ in range(k + 1)]
+                    assert exact_moments._hook_schurs(e, h, k, hooks) == (
+                        jacobi_trudi_hook_schurs(e, h, k, hooks)
+                    ), (k, hooks, e, h)
+
+    def test_bit_equal_to_row_jacobi_trudi_evaluation(self):
+        import random
+
+        rng = random.Random(20261022)
+        for k in range(1, 41):
+            for n in range(1, 13):
+                profile = seeded_profile(rng, n)
+                assert trace_moment_uu(k, profile) == row_jacobi_trudi_moment("uu", k, profile)
+                assert trace_moment_sq(k, profile) == row_jacobi_trudi_moment("sq", k, profile)
+        profile = seeded_profile(rng, 64)
+        assert trace_moment_uu(40, profile) == row_jacobi_trudi_moment("uu", 40, profile)
+        assert trace_moment_sq(40, profile) == row_jacobi_trudi_moment("sq", 40, profile)
+
+    def test_benchmark_references(self):
+        refs = json.loads(REFERENCES.read_text())
+        pools = {
+            key: [SingularProfile.from_values(list(map(Fraction, values))) for values in refs[key]]
+            for key in ("p6", "p40")
+        }
+        cases = (
+            ("uu6", trace_moment_uu, 6, "p6"),
+            ("sq5", trace_moment_sq, 5, "p6"),
+            ("uu3", trace_moment_uu, 3, "p40"),
+            ("sq3", trace_moment_sq, 3, "p40"),
+        )
+        for name, moment, k, pool in cases:
+            assert len(refs[name]) == len(pools[pool]) == 24
+            for profile, value in zip(pools[pool], refs[name]):
+                assert moment(k, profile) == Fraction(value), (name, profile.values)
+
+
 class TestHookSumsAgainstMonteCarlo:
     """k = 8 at n <= 4: beyond the census orders and below the degree, where
     only the hook sums reach.  Seed, sample count and the 4-SE window were
@@ -828,7 +944,7 @@ class TestCountingLemma:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            verify_counting_lemma(4, 1, 1, Permutation.full_cycle(4), 1)
+            verify_counting_lemma(4, 1, 1, full_cycle(4), 1)
         with pytest.raises(ValueError):
             verify_counting_lemma(4, 0, 1, Permutation.identity(4), 1)
         with pytest.raises(ValueError):

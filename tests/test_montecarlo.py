@@ -137,7 +137,6 @@ class TestSamplers:
             (Fraction(10**400), 1),  # an entry
             (Fraction(10**200), 1),  # b
             (1e200, 1.0),  # b, whose square sum is inf in floats
-            (1e-200, 1.0),  # a, whose reciprocal square sum overflows
         ],
     )
     def test_profile_beyond_floats_is_rejected_before_sampling(self, values):
@@ -147,6 +146,20 @@ class TestSamplers:
             sample_A_batch(profile, 1, rng)
         # nothing was drawn from the stream
         assert np.array_equal(rng.standard_normal(4), rng_stream(3).standard_normal(4))
+
+    def test_profile_whose_squares_underflow_is_sampled(self):
+        # 1 / (s * s) overflows for s = 1e-200, but a is a float: sqrt(2) s
+        profile = SingularProfile.from_values((1e-200, 1.0))
+        assert profile.a == pytest.approx(1.41421356e-200, rel=1e-8)
+        drawn = sample_A_batch(profile, 2, rng_stream(3))
+        assert drawn.shape == (2, 2, 2) and np.all(np.isfinite(drawn))
+        # the power-of-two scale is exact: where a2 has no underflow, a keeps
+        # the bits of sqrt(a2), so sampled records keep theirs
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 64, 512):
+            for _ in range(25):
+                ordinary = SingularProfile.from_values(rng.uniform(0.5, 4.0, n).tolist())
+                assert ordinary.a == math.sqrt(ordinary.a2)
 
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])

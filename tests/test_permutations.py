@@ -29,6 +29,7 @@ from ringmoments.permutations import (
     young_subgroup_images,
 )
 from ringmoments.weingarten import monotone_counts
+from weingarten_oracles import full_cycle, transposition
 
 
 def count_monotone_factorizations(p: Permutation, r: int) -> int:
@@ -46,7 +47,7 @@ def bfs_distance(p: Permutation) -> int:
     seen = {start}
     frontier = deque([(start, 0)])
     transpositions = [
-        Permutation.transposition(k, s, t)
+        transposition(k, s, t)
         for s in range(1, k + 1)
         for t in range(s + 1, k + 1)
     ]
@@ -73,7 +74,7 @@ def brute_monotone_count(p: Permutation, r: int) -> int:
             continue
         prod = Permutation.identity(k)
         for s, t in word:
-            prod = prod * Permutation.transposition(k, s, t)
+            prod = prod * transposition(k, s, t)
         if prod == p:
             count += 1
     return count
@@ -88,8 +89,8 @@ class TestAlgebra:
 
     def test_composition_order(self):
         # (p * q)(x) = p(q(x)): rightmost factor acts first
-        p = Permutation.transposition(3, 1, 2)
-        q = Permutation.transposition(3, 2, 3)
+        p = transposition(3, 1, 2)
+        q = transposition(3, 2, 3)
         pq = p * q
         assert pq(3) == p(q(3)) == p(2) == 1
         assert pq.images == (2, 3, 1)
@@ -116,12 +117,12 @@ class TestAlgebra:
             Permutation.from_cycles(2, [(1, 5)])
 
     def test_full_cycle(self):
-        c = Permutation.full_cycle(4)
+        c = full_cycle(4)
         assert c.images == (2, 3, 4, 1)
         assert c(4) == 1
 
     def test_transposition_equal_legs_is_identity(self):
-        assert Permutation.transposition(5, 3, 3) == Permutation.identity(5)
+        assert transposition(5, 3, 3) == Permutation.identity(5)
 
     def test_raw_image_helpers(self):
         a = (2, 1, 3)
@@ -149,7 +150,7 @@ class TestCycleStructure:
     def test_distance_equals_bfs(self, k):
         # closed form k - #cycles against breadth-first search
         perms = list(all_permutations(k)) if k <= 5 else [
-            Permutation.full_cycle(k),
+            full_cycle(k),
             Permutation.from_cycles(k, [(1, 2), (3, 4, 5)]),
             Permutation.identity(k),
             Permutation.from_cycles(k, [(1, 3), (2, 6)]),
@@ -170,14 +171,14 @@ class TestCycleStructure:
 
 class TestMonotoneCounts:
     def test_frozen_small_counts(self):
-        swap = Permutation.transposition(2, 1, 2)
+        swap = transposition(2, 1, 2)
         e2 = Permutation.identity(2)
         # in S_2 the only transposition is (1 2): words alternate
         for r in range(7):
             assert count_monotone_factorizations(e2, r) == (1 if r % 2 == 0 else 0)
             assert count_monotone_factorizations(swap, r) == (1 if r % 2 == 1 else 0)
         e3 = Permutation.identity(3)
-        t12 = Permutation.transposition(3, 1, 2)
+        t12 = transposition(3, 1, 2)
         assert count_monotone_factorizations(t12, 1) == 1
         assert count_monotone_factorizations(e3, 2) == 3
         assert count_monotone_factorizations(t12, 3) == 5

@@ -32,7 +32,12 @@ from ringmoments.weingarten import (
     wg_exact,
     wg_series,
 )
-from weingarten_oracles import census_class_table, monotone_count_table
+from weingarten_oracles import (
+    census_class_table,
+    full_cycle,
+    monotone_count_table,
+    transposition,
+)
 
 
 def gram_inverse_row(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
@@ -75,7 +80,7 @@ class TestExactTable:
     def test_degree_two_closed_forms(self):
         for n in range(2, 9):
             assert wg_exact(2, n, Permutation.identity(2)) == Fraction(1, n * n - 1)
-            assert wg_exact(2, n, Permutation.transposition(2, 1, 2)) == Fraction(
+            assert wg_exact(2, n, transposition(2, 1, 2)) == Fraction(
                 -1, n * (n * n - 1)
             )
 
@@ -83,10 +88,10 @@ class TestExactTable:
         for n in (3, 4, 5, 9):
             d = n * (n * n - 1) * (n * n - 4)
             assert wg_exact(3, n, Permutation.identity(3)) == Fraction(n * n - 2, d)
-            assert wg_exact(3, n, Permutation.transposition(3, 1, 2)) == Fraction(
+            assert wg_exact(3, n, transposition(3, 1, 2)) == Fraction(
                 -1, (n * n - 1) * (n * n - 4)
             )
-            assert wg_exact(3, n, Permutation.full_cycle(3)) == Fraction(2, d)
+            assert wg_exact(3, n, full_cycle(3)) == Fraction(2, d)
 
     def test_class_function(self):
         for p in all_permutations(4):
@@ -216,7 +221,7 @@ class TestPartitions:
 
 class TestSeries:
     def test_partial_sum_swap_example(self):
-        val = wg_series(2, 10, Permutation.transposition(2, 1, 2), r_max=3)
+        val = wg_series(2, 10, transposition(2, 1, 2), r_max=3)
         assert val.series_partial == Fraction(-101, 100000)
         assert val.exact == Fraction(-1, 990)
         assert val.tail_bound == Fraction(1, 100000)
@@ -268,7 +273,7 @@ class TestSeries:
 class TestMagnitudeBound:
     def test_frozen_degree_two_values(self):
         b_id = wg_bound(2, 10, Permutation.identity(2))
-        b_swap = wg_bound(2, 10, Permutation.transposition(2, 1, 2))
+        b_swap = wg_bound(2, 10, transposition(2, 1, 2))
         assert b_id.value == Fraction(49, 4800)
         assert b_swap.value == Fraction(1, 800)
 
@@ -288,22 +293,22 @@ class TestMagnitudeBound:
     def test_identity_and_offdiagonal_scales(self):
         # identity bound ~ n^-k, distance-d bound ~ n^-(k+d)
         b0 = wg_bound(3, 50, Permutation.identity(3))
-        b1 = wg_bound(3, 50, Permutation.transposition(3, 1, 2))
-        b2 = wg_bound(3, 50, Permutation.full_cycle(3))
+        b1 = wg_bound(3, 50, transposition(3, 1, 2))
+        b2 = wg_bound(3, 50, full_cycle(3))
         assert b0.value > b1.value > b2.value
 
 
 class TestAltBounds:
     def test_power_bound_applicability(self):
         # k^j = 4 > n = 3: inapplicable
-        alt = wg_alt_bounds(2, 3, Permutation.transposition(2, 1, 2), j=2)
+        alt = wg_alt_bounds(2, 3, transposition(2, 1, 2), j=2)
         assert alt.power_bound is None
-        assert wg_alt_bounds(2, 4, Permutation.transposition(2, 1, 2), j=2).power_bound is not None
+        assert wg_alt_bounds(2, 4, transposition(2, 1, 2), j=2).power_bound is not None
 
     def test_power_bound_values(self):
         # the source leaves the constant K_j unspecified and it is not applied,
         # so only the functional form is checked, never domination of the exact value
-        pi = Permutation.transposition(2, 1, 2)
+        pi = transposition(2, 1, 2)
         alt = wg_alt_bounds(2, 16, pi, j=2)
         # exponent k + d(1 - 2/j) = 2 + 0 with j=2
         assert alt.power_bound == pytest.approx(16.0 ** -2)

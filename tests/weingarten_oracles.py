@@ -14,6 +14,9 @@
   lattice, next to the closed forms of ``exact_moments.composition_census``
   and the hook sums.
 
+``transposition`` and ``full_cycle`` build the named permutations the tests
+use from ``Permutation.from_cycles``.
+
 All of them enumerate S_k, products of its subsets or set partitions, so
 they are meant for small degrees only.
 """
@@ -223,13 +226,23 @@ def unfolded_route_b_census(statistic: str, pattern: tuple[int, ...]) -> Counter
     return cycle_type_census(Counter({word[: k - 1]: m for word, m in words.items()}))
 
 
+def transposition(k: int, a: int, b: int) -> Permutation:
+    """The swap (a b) of degree k; equal points give the identity."""
+    return Permutation.from_cycles(k, [(a, b)])
+
+
+def full_cycle(k: int) -> Permutation:
+    """The k-cycle 1 -> 2 -> ... -> k -> 1."""
+    return Permutation.from_cycles(k, [range(1, k + 1)])
+
+
 def counting_lemma_distances(k: int, l1: int, l2: int, alpha: Permutation) -> Counter:
     """Transposition distance -> number of endpoint-fixing phi whose word
     c^-1 phi^-1 alpha^-1 c (l2 k-1) (1 l1) phi has that distance, each word
     formed in full as a ``Permutation``."""
-    c = Permutation.full_cycle(k)
+    c = full_cycle(k)
     head = c.inverse()
-    tail = c * Permutation.transposition(k, l2, k - 1) * Permutation.transposition(k, 1, l1)
+    tail = c * transposition(k, l2, k - 1) * transposition(k, 1, l1)
     mid = alpha.inverse() * tail
     return Counter(
         (head * phi.inverse() * mid * phi).transposition_distance() for phi in enumerate_sk0(k)
