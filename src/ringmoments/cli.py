@@ -258,15 +258,10 @@ def _cmd_mc_moment(args) -> int:
             print(f"deviation = {sigma:.2f} standard errors")
     if args.output:
         path = _output_path(args, args.output)
-        records = [
-            montecarlo.ExperimentRecord(
-                n=profile.n, k=args.k, seed=args.seed,
-                stat=f"{est.statistic}_{name}", value=value,
-                b=profile.b, a=profile.a,
-                M=float(profile.M), m=float(profile.m),
-            )
-            for name, value in (("mean", est.mean), ("stderr", est.std_error))
-        ]
+        records = montecarlo.profile_records(profile, args.k, args.seed, (
+            (f"{est.statistic}_mean", est.mean),
+            (f"{est.statistic}_stderr", est.std_error),
+        ))
         writer = getattr(montecarlo, f"write_records_{RECORD_FORMATS[args.format]}")
         writer(records, str(path))
         print(f"wrote {path}")

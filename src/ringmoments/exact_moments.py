@@ -83,9 +83,10 @@ neither falls when one s_i rises.
 Evaluation is in integers: the x_i are put over their common denominator D,
 e_j and h_j of the numerators come from O(n k) integer running sums over the
 variables, one ``itertools.accumulate`` per order, the Schur polynomials
-from the Pieri recursion, the coefficients are cached per (statistic, k, n)
-as integer numerators over one denominator, and a single Fraction is built
-at the end.
+from the Pieri recursion, the coefficients are integer numerators over one
+denominator, memoised once per (statistic, k, n) together with their
+certificate (``_certify``, below), and a single Fraction is built at the
+end.
 
 Certification by the Weingarten census
 --------------------------------------
@@ -459,16 +460,15 @@ def _require_exact(profile: SingularProfile) -> None:
     if not profile.is_exact:
         raise ValueError(
             "exact trace moments need rational singular values; "
-            "use SingularProfile.to_exact for float data"
+            "give the profile int or Fraction entries"
         )
 
 
-@lru_cache(maxsize=None)
 def _hook_coefficients(
     statistic: Statistic, k: int, n: int
 ) -> tuple[tuple[int, ...], int]:
     """The hook coefficients a_r(n) of a trace moment as integer numerators
-    over one common denominator: (numerators, denominator).
+    over one common denominator, in lowest terms: (numerators, denominator).
 
     With H_r = k (k-r-1)! r! and C_r(n) = prod_{j<k-r} (n+j) prod_{1<=i<=r} (n-i)
     the hook-length and content products of (k-r, 1^r):
@@ -476,21 +476,25 @@ def _hook_coefficients(
     sq: a_r = H_r / C_r(n);
     uu: a_r = (H_r / k) (n + k - 1 - 2r) / C_r(n),
 
-    for the hooks with at most n rows, r < min(k, n).
+    for the hooks with at most n rows, r < K = min(k, n).  C_r(n) =
+    (n+k-r-1)! / (n-r-1)! divides the window W = (n+k-1)! / (n-K)!, and the
+    cofactors w_r = W / C_r(n) run w_0 = (n-1)! / (n-K)!,
+    w_{r+1} = w_r (n+k-r-1) / (n-r-1); so does f_r = (k-r-1)! r! by its own
+    ratio.  Every division is exact, and one gcd reduces the result.
     """
     if statistic not in ("uu", "sq"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    numerators, denominators = [], []
-    for r in range(min(k, n)):
-        numerator = math.factorial(k - r - 1) * math.factorial(r)
-        numerators.append(numerator * (k if statistic == "sq" else n + k - 1 - 2 * r))
-        denominators.append(
-            math.prod(range(n, n + k - r)) * math.prod(range(n - r, n))
-        )
-    common = math.lcm(*denominators)
-    scaled = [a * (common // c) for a, c in zip(numerators, denominators)]
-    g = math.gcd(common, *scaled)
-    return tuple(a // g for a in scaled), common // g
+    hooks = min(k, n)
+    window = math.prod(range(n - hooks + 1, n + k))
+    w, f = math.prod(range(n - hooks + 1, n)), math.factorial(k - 1)
+    numerators = []
+    for r in range(hooks):
+        numerators.append(f * w * (k if statistic == "sq" else n + k - 1 - 2 * r))
+        if r + 1 < hooks:
+            w = w * (n + k - r - 1) // (n - r - 1)
+            f = f * (r + 1) // (k - r - 1)
+    g = math.gcd(window, *numerators)
+    return tuple(a // g for a in numerators), window // g
 
 
 def _hook_schurs(e: Sequence[int], h: Sequence[int], k: int, hooks: int) -> list[int]:
@@ -508,8 +512,10 @@ def _hook_schurs(e: Sequence[int], h: Sequence[int], k: int, hooks: int) -> list
 
 
 @lru_cache(maxsize=None)
-def _certify(statistic: Statistic, k: int, n: int) -> None:
-    """Check the hook sum against the Weingarten census at (k, n), once.
+def _certify(statistic: Statistic, k: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The hook coefficients at (k, n) from ``_hook_coefficients``, checked
+    against the Weingarten census before they are first returned, and
+    memoised with that certificate.
 
     Folded over equality patterns, a moment is sum_lam aut(lam) S_lam(n)
     m_lam(x): S_lam(n) sums the inner averages (``f_i`` or ``g_i``) of the
@@ -525,17 +531,18 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
     h_{k-b} e_b is C(l(lam), b), whatever the parts of lam, and
     C(l, r) - C(l - 1, r - 1) = C(l - 1, r).
 
-    Runs inside the census orders (uu: 2 <= k <= MAX_UU_ORDER; sq:
-    k <= MAX_SQ_ORDER) at every n >= 1, and is a no-op beyond them.  A
-    mismatch raises ``CrossCheckError``.
+    The check runs inside the census orders (uu: 2 <= k <= MAX_UU_ORDER;
+    sq: k <= MAX_SQ_ORDER) at every n >= 1; beyond them the coefficients
+    are returned unchecked.  A mismatch raises ``CrossCheckError``.
     """
+    numerators, denominator = _hook_coefficients(statistic, k, n)
     if statistic == "uu":
         if not 2 <= k <= MAX_UU_ORDER:
-            return
+            return numerators, denominator
         inner = f_i
     else:
         if k > MAX_SQ_ORDER:
-            return
+            return numerators, denominator
         inner = g_i
     groups: dict[tuple[int, ...], Fraction] = {}
     for pattern in equality_patterns(k):
@@ -544,7 +551,6 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
             continue
         lam = tuple(sorted((pattern.count(b) for b in range(1, blocks + 1)), reverse=True))
         groups[lam] = groups.get(lam, Fraction(0)) + inner(pattern, n)
-    numerators, denominator = _hook_coefficients(statistic, k, n)
     for lam, total in groups.items():
         aut = math.prod(math.factorial(m) for m in Counter(lam).values())
         kostka = _hook_schurs(
@@ -556,6 +562,7 @@ def _certify(statistic: Statistic, k: int, n: int) -> None:
                 f"{statistic} hook sum disagrees with the census at k={k}, n={n}, "
                 f"lambda={lam}: {aut * total} vs {Fraction(hook_side, denominator)}"
             )
+    return numerators, denominator
 
 
 def _scaled_symmetric_sums(
@@ -598,14 +605,12 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     e_j and h_j of the scaled X_i = D x_i come from
     ``_scaled_symmetric_sums``, and the Schur polynomials are homogeneous of
     degree k, so the moment is one fraction sum_r A_r s_r(X) / (Q D^k) with
-    A_r / Q the cached coefficients.
+    A_r / Q the certified coefficients from ``_certify``.
     """
     _require_exact(profile)
     if k < 1:
         raise ValueError("moment order must be at least 1")
-    n = profile.n
-    _certify(statistic, k, n)
-    numerators, denominator = _hook_coefficients(statistic, k, n)
+    numerators, denominator = _certify(statistic, k, profile.n)
     hooks = len(numerators)
     e, h, scale = _scaled_symmetric_sums(profile, hooks - 1, k)
     total = sum(map(mul, numerators, _hook_schurs(e, h, k, hooks)))

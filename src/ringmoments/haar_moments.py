@@ -13,7 +13,7 @@ with wg the exact Weingarten value at degree k and dimension n.  Unbalanced
 words (row or column multisets that disagree) average to zero.
 
 The matching pairs are counted by the cycle type of sigma^-1 * tau
-(``entry_census``); that census depends on the index equalities alone, and
+(``word_census``); that census depends on the index equalities alone, and
 the moment is the census weighed by the table at n, one integer dot
 product over the table's common denominator (``census_value``).
 
@@ -108,21 +108,6 @@ def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | N
     return tuple(sigma)
 
 
-def entry_census(spec: MomentSpec) -> Counter:
-    """The Weingarten census of ``spec``: for each cycle type, how many
-    matching pairs (sigma, tau) have sigma^-1 * tau of that type.
-
-    Counted per coset (see the module docstring): one product per left
-    coset representative of Y n Z in Y and element of Z, each weighted
-    |Y n Z|.  The census depends on the shape of the word alone, never on
-    the dimension ``spec.n``, the index values or the order of the factors
-    within the unconjugated or the conjugated side; it is empty when the row
-    or column multisets disagree.  It is built once per canonical form of
-    the word (see ``word_census``) and returned as a fresh Counter.
-    """
-    return Counter(dict(word_census(spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)))
-
-
 def word_census(
     rows: Sequence[int],
     cols: Sequence[int],
@@ -131,8 +116,13 @@ def word_census(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The census of the word u[rows_l, cols_l] ... conj(u[conj_rows_l,
     conj_cols_l]) ... as (cycle type, count) pairs, for index tuples of one
-    length >= 1; no other validation.  Built once per canonical form of the
-    word (``_canonical_word``); the tuple is shared between callers."""
+    length >= 1; no other validation.  For each cycle type, the count is how
+    many matching pairs (sigma, tau) have sigma^-1 * tau of that type,
+    counted per coset (see the module docstring).  It depends on the shape
+    of the word alone, never on the dimension or the index values, and is
+    empty when the row or column multisets disagree.  Built once per
+    canonical form of the word (``_canonical_word``); the tuple is shared
+    between callers."""
     return _word_census(*_canonical_word(rows, cols, conj_rows, conj_cols))
 
 
@@ -183,7 +173,7 @@ def census_value(census: Mapping[tuple[int, ...], int], table: ClassTable) -> Fr
 
 def entry_moment(spec: MomentSpec) -> Fraction:
     """Exact Haar average of the word described by ``spec``: its
-    ``entry_census`` weighed by the Weingarten table of degree k at dimension
+    ``word_census`` weighed by the Weingarten table of degree k at dimension
     n, which is defined below the degree too.
 
     The value is always a real rational.  Requires k <= MAX_WORD_LENGTH; a

@@ -118,7 +118,8 @@ def _power_batch(a: np.ndarray, k: int) -> np.ndarray:
     """a^k by repeated multiplication; every step is checked for overflow."""
     out = a
     for _ in range(k - 1):
-        out = out @ a
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            out = out @ a
         if not np.all(np.isfinite(out)):
             raise OverflowGuardError(f"matrix power overflowed at exponent <= {k}")
     return out
@@ -269,6 +270,19 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
+def profile_records(
+    profile: SingularProfile, k: int, seed: int, values: Iterable[tuple[str, float]]
+) -> list[ExperimentRecord]:
+    """One record per (stat, value) pair, each carrying the profile's n, b,
+    a, M and m: the builder of every sampled record."""
+    b, a = profile.b, profile.a
+    big, small = float(profile.M), float(profile.m)
+    return [
+        ExperimentRecord(profile.n, k, seed, stat, value, b, a, big, small)
+        for stat, value in values
+    ]
+
+
 def _spectrum_replication(
     family: ProfileFamily, n: int, seed: int, stream_index: int
 ) -> list[ExperimentRecord]:
@@ -280,17 +294,12 @@ def _spectrum_replication(
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(seed, stream_index) from exc
     b, a = profile.b, profile.a
-    big, small = float(profile.M), float(profile.m)
-
-    def row(stat: str, value: float) -> ExperimentRecord:
-        return ExperimentRecord(n, 1, seed, stat, value, b, a, big, small)
-
-    return [
-        row("spectral_radius", hi),
-        row("min_modulus", lo),
-        row("radius_deviation", hi - b),
-        row("min_deviation", a - lo),
-    ]
+    return profile_records(profile, 1, seed, (
+        ("spectral_radius", hi),
+        ("min_modulus", lo),
+        ("radius_deviation", hi - b),
+        ("min_deviation", a - lo),
+    ))
 
 
 def spectrum_records(

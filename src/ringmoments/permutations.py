@@ -200,13 +200,10 @@ class Permutation:
         """Cycle lengths sorted descending, fixed points included."""
         return cycle_type_of_product(self.images, range(1, self.degree + 1))
 
-    def num_cycles(self) -> int:
-        return len(self.cycle_type())
-
     def transposition_distance(self) -> int:
         """Minimal number of transpositions multiplying to this permutation,
         equal to degree minus number of cycles (fixed points counted)."""
-        return self.degree - self.num_cycles()
+        return self.degree - len(self.cycle_type())
 
     def __str__(self) -> str:
         moved = [c for c in self.cycles() if len(c) > 1]

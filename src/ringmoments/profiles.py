@@ -10,9 +10,15 @@ Derived quantities are properties, recomputed on access:
 * M, m: largest and smallest singular value,
 * b2 = (1/n) * sum s_i^2 and b = sqrt(b2),
 * a2 = n / sum s_i^(-2) and a = sqrt(a2), with a = 0 as soon as some
-  s_i == 0 (the reciprocal sum is infinite).  In float mode a is computed
-  with the entries scaled by a power of two near m, so it is a float
-  whenever the entries are, even where s_i^2 or a2 underflow.
+  s_i == 0 (the reciprocal sum is infinite).
+
+b and a are floats computed so that they do not under- or overflow where
+the root itself is a float.  In float mode b is computed on the entries
+scaled by the power of two just below M, and a on those scaled by the power
+of two just below m; in exact mode each is ldexp(sqrt(float(q / 4^e)), e)
+with q = b2 or a2 and 4^e near q.  Power-of-two scales are exact, so b and a
+keep the bits of sqrt(b2) and sqrt(a2) wherever those have no under- or
+overflow.
 """
 
 from __future__ import annotations
@@ -24,8 +30,19 @@ from typing import Sequence, Union
 
 Scalar = Union[int, float, Fraction]
 
-# how far ``SingularProfile.to_exact`` may move an entry
-TO_EXACT_TOL = 1e-9
+
+def _power_of_two_below(x: float) -> float:
+    """The power of two p with x / 2 < p <= x, for a float x > 0."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
+def _float_sqrt(q: Fraction) -> float:
+    """sqrt(q) for a rational q >= 0, taken on q / 4^e in (1/2, 4) and scaled
+    back by 2^e; an OverflowError when it lies beyond the float range."""
+    if q == 0:
+        return 0.0
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(float(q / Fraction(4) ** e)), e)
 
 
 @dataclass(frozen=True)
@@ -93,7 +110,12 @@ class SingularProfile:
 
     @property
     def b(self) -> float:
-        return math.sqrt(self.b2)
+        if self.is_exact:
+            return _float_sqrt(self.b2)
+        if self.M == 0:
+            return 0.0
+        p = _power_of_two_below(self.M)
+        return p * math.sqrt(sum(w * w for w in (v / p for v in self.values)) / self.n)
 
     @property
     def a2(self):
@@ -104,23 +126,9 @@ class SingularProfile:
 
     @property
     def a(self) -> float:
-        if self.is_exact or self.m == 0:
-            return math.sqrt(self.a2)
-        # p = 2^e with m / 2 < p <= m: no scaled square underflows, and a
-        # power-of-two scale is exact, so a has the bits of sqrt(a2)
-        # wherever a2 has no underflow
-        p = math.ldexp(1.0, math.frexp(self.m)[1] - 1)
-        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in self.values)))
-
-    def to_exact(self) -> "SingularProfile":
-        """Rational approximation of a float profile.  Each entry moves by at
-        most ``TO_EXACT_TOL``; entries already exact are kept."""
         if self.is_exact:
-            return self
-        approx = []
-        for v in self.values:
-            frac = Fraction(v).limit_denominator(10**12)
-            if abs(float(frac) - v) > TO_EXACT_TOL:
-                raise ValueError(f"cannot approximate {v} within {TO_EXACT_TOL}")
-            approx.append(frac)
-        return SingularProfile(tuple(approx))
+            return _float_sqrt(self.a2)
+        if self.m == 0:
+            return 0.0
+        p = _power_of_two_below(self.m)
+        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in self.values)))

@@ -1,15 +1,19 @@
 """Command-line interface: grammar, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ringmoments import cli
 from ringmoments.cli import FAMILY_KEYS, RADIUS_RATE_KEYS, TAIL_KEYS, main, parse_profile
 from ringmoments.profiles import SingularProfile
 
@@ -227,6 +231,20 @@ class TestExactMomentCommand:
             assert f"census {name} = " in out
         assert "census chain ok = True" in out
 
+    def test_broken_census_chain_exits_one(self, capsys, monkeypatch):
+        real = cli.composition_census
+
+        def broken(k, profile):
+            return dataclasses.replace(real(k, profile), chain_ok=False)
+
+        monkeypatch.setattr(cli, "composition_census", broken)
+        code, out, err = run(
+            capsys, "exact-moment", "--k", "3", "--profile", "1,2,3", "--census"
+        )
+        assert code == 1
+        assert "census chain ok = False" in out
+        assert err == "error: census chain inequality violated\n"
+
     def test_census_below_order_two_prints_nothing(self, capsys):
         code, out, err = run(
             capsys, "exact-moment", "--k", "1", "--profile", "1,2,3", "--census"
@@ -299,6 +317,33 @@ class TestVerifyLemmasCommand:
         assert "all checks passed" in out
         assert "magnitude check" in out
 
+    def test_counting_violation_exits_one(self, capsys, monkeypatch):
+        real = cli.verify_counting_lemma
+
+        def violated(k, l1, l2, alpha, q):
+            check = real(k, l1, l2, alpha, q)
+            return dataclasses.replace(check, ok=(l1, l2, q) != (1, 1, 0))
+
+        monkeypatch.setattr(cli, "verify_counting_lemma", violated)
+        code, out, err = run(capsys, "verify-lemmas", "--k", "3")
+        assert code == 1
+        assert "alpha=id l1=1 l2=1 q=0 count=0 bound=1 VIOLATION" in out
+        assert "all checks passed" not in out
+        assert err == "error: 1 bound violations\n"
+
+    def test_magnitude_violation_exits_one(self, capsys, monkeypatch):
+        real = cli.wg_bound
+
+        def tight(k, n, pi):
+            return dataclasses.replace(real(k, n, pi), value=Fraction(0))
+
+        monkeypatch.setattr(cli, "wg_bound", tight)
+        code, out, err = run(capsys, "verify-lemmas", "--k", "2")
+        assert code == 1
+        assert ": False" in out
+        # S_2 has two classes, and both Weingarten values are nonzero
+        assert err == "error: 2 bound violations\n"
+
     def test_magnitude_dimension_override(self, capsys):
         code, out, _ = run(capsys, "verify-lemmas", "--k", "2", "--n", "12")
         assert code == 0
@@ -339,6 +384,19 @@ class TestMcMomentCommand:
         )
         assert code == 0
         assert "exact = 196/3" in out
+        assert "standard errors" in out
+
+    def test_compare_exact_sq(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "mc-moment",
+            "--k", "2", "--profile", "1,2,3", "--mode", "sq",
+            "--samples", "4000", "--seed", "5",
+            "--compare-exact",
+        )
+        assert code == 0
+        assert "statistic = trace_sq" in out
+        assert "exact = 245/6" in out
         assert "standard errors" in out
 
     def test_deterministic_stdout(self, capsys):
@@ -438,6 +496,22 @@ class TestMcMomentCommand:
         code, out, _ = run(capsys, "exact-moment", "--k", "2", "--profile", "1e400,1")
         assert code == 0
         assert "exact moment (float) = beyond the float range" in out
+
+    def test_profile_whose_power_overflows_exits_one(self, capsys, tmp_path):
+        # b of 1e200,1 is a float (about 7.07e199), so the profile is
+        # sampled; A^2 is not, and the overflow guard reports it alone
+        out_dir = tmp_path / "new"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                "mc-moment", "--k", "2", "--profile", "1e200,1", "--samples", "10",
+                "--output", "r.csv", "--out", str(out_dir),
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: matrix power overflowed at exponent <= 2\n"
+        assert not out_dir.exists()
 
     def test_non_finite_estimate_exits_one(self, capsys):
         code, out, err = run(capsys, "mc-moment", "--k", "40", "--profile", "1000,2000")
@@ -540,6 +614,32 @@ class TestSpectrumExperimentCommand:
     def test_non_object_config(self, capsys, tmp_path):
         err = self._usage_error(capsys, tmp_path, [1, 2])
         assert "JSON object" in err
+
+    def test_non_object_family(self, capsys, tmp_path):
+        payload = {"experiment": "radius-rate", "family": "grid", "n_grid": [4]}
+        err = self._usage_error(capsys, tmp_path, payload)
+        assert "family must be a JSON object" in err
+
+    def test_eigensolver_failure_exits_one(self, capsys, tmp_path, monkeypatch):
+        from ringmoments import montecarlo
+
+        def failing(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(montecarlo, "extreme_eigenvalues", failing)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"experiment": "tail", "profile": "1,2", "deltas": [0.1], "seed": 4}
+        ))
+        code, out, err = run(
+            capsys,
+            "spectrum-experiment", "--config", str(config),
+            "--out", str(tmp_path / "out"), "--jobs", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: eigensolver did not converge (seed=4, stream=0)\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "payload,missing",
@@ -683,9 +783,9 @@ class TestSpectrumExperimentCommand:
                 "1",
             ),
             ({"experiment": "tail", "profile": "1,2", "deltas": [0.1]}, "0"),
-            # an entry, and then b, beyond the float range
+            # an entry beyond the float range, serial and pooled
             ({"experiment": "tail", "profile": "1e400,1", "deltas": [0.1]}, "1"),
-            ({"experiment": "tail", "profile": "1e200,1", "deltas": [0.1]}, "2"),
+            ({"experiment": "tail", "profile": "1e400,1", "deltas": [0.1]}, "2"),
         ],
     )
     def test_rejected_run_creates_no_directory(self, capsys, tmp_path, payload, jobs):

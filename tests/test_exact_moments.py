@@ -152,6 +152,18 @@ class TestInnerAverages:
             g_i((1, 2, 3), 2)
         with pytest.raises(ValueError, match="degree >= 2"):
             route_censuses("uu", (1,))  # no endpoint-fixing subgroup
+        # above the census orders there is no census to weigh
+        with pytest.raises(ValueError, match="above supported ceiling 6"):
+            f_paths((1,) * 7, 3)
+        with pytest.raises(ValueError, match="above supported ceiling 5"):
+            g_paths((1,) * 6, 3)
+
+    @pytest.mark.parametrize("statistic,paths,inner", [("uu", "f_paths", f_i), ("sq", "g_paths", g_i)])
+    def test_route_mismatch_raises(self, monkeypatch, statistic, paths, inner):
+        # the inner average is returned only when both routes agree
+        monkeypatch.setattr(exact_moments, paths, lambda indices, n: (Fraction(1), Fraction(2)))
+        with pytest.raises(CrossCheckError, match=f"{statistic} inner average mismatch .*1 vs 2"):
+            inner((1, 2), 3)
 
     def test_defined_below_the_degree(self):
         # a scalar unitary: every word averages to 1, one coset each
@@ -949,6 +961,12 @@ class TestCountingLemma:
             verify_counting_lemma(4, 0, 1, Permutation.identity(4), 1)
         with pytest.raises(ValueError):
             verify_counting_lemma(4, 1, 1, Permutation.identity(4), 9)
+
+    def test_rejects_orders_outside_the_counting_range(self):
+        with pytest.raises(ValueError, match="degree k >= 2"):
+            verify_counting_lemma(1, 1, 1, Permutation.identity(1), 0)
+        with pytest.raises(ValueError, match="k <= 7"):
+            verify_counting_lemma(8, 1, 1, Permutation.identity(8), 1)
 
 
 class TestCompositionCensus:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from ringmoments.haar_moments import (
     MAX_WORD_LENGTH,
     MomentSpec,
     census_value,
-    entry_census,
     entry_moment,
+    word_census,
 )
 from ringmoments.montecarlo import mc_entry_moment
 from ringmoments.weingarten import wg_class_table
@@ -30,6 +31,11 @@ REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.jso
 
 def moment(n, rows, cols, conj_rows, conj_cols):
     return entry_moment(MomentSpec(n, rows, cols, conj_rows, conj_cols))
+
+
+def census_of(spec: MomentSpec) -> Counter:
+    """The production census of ``spec`` (``word_census``) as a Counter."""
+    return Counter(dict(word_census(spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)))
 
 
 class TestClosedForms:
@@ -91,6 +97,10 @@ class TestStructuralZeros:
         with pytest.raises(ValueError):
             MomentSpec(3, (1,), (1,), (1, 2), (1, 2))
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            MomentSpec(3, (), (), (), ())
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             MomentSpec(2, (3,), (1,), (3,), (1,))
@@ -108,21 +118,21 @@ class TestEntryCensus:
         # two matchings on each side: sigma^-1 tau is the identity twice and
         # the swap twice
         ones = (1, 1)
-        census = entry_census(MomentSpec(3, ones, ones, ones, ones))
+        census = census_of(MomentSpec(3, ones, ones, ones, ones))
         assert census == {(1, 1): 2, (2,): 2}
 
     def test_mismatch_is_empty(self):
-        assert not entry_census(MomentSpec(3, (1, 1), (1, 2), (1, 2), (1, 2)))
+        assert not census_of(MomentSpec(3, (1, 1), (1, 2), (1, 2), (1, 2)))
 
     def test_independent_of_dimension_and_labels(self):
         spec = MomentSpec(4, (1, 2, 1), (2, 3, 3), (2, 1, 1), (3, 2, 3))
         relabelled = MomentSpec(9, (7, 4, 7), (4, 9, 9), (4, 7, 7), (9, 4, 9))
-        assert entry_census(spec) == entry_census(relabelled)
+        assert census_of(spec) == census_of(relabelled)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_moment_is_census_dot_table(self, n):
         spec = MomentSpec(n, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
-        assert entry_moment(spec) == census_value(entry_census(spec), wg_class_table(3, n))
+        assert entry_moment(spec) == census_value(census_of(spec), wg_class_table(3, n))
 
 
     def test_integer_value_is_the_fraction_sum(self):
@@ -131,7 +141,7 @@ class TestEntryCensus:
         rng = random.Random(20261020)
         for k in range(1, MAX_WORD_LENGTH + 1):
             for _ in range(4):
-                census = entry_census(random_word(rng, k, rng.randint(1, 4), balanced=True))
+                census = census_of(random_word(rng, k, rng.randint(1, 4), balanced=True))
                 assert census
                 for n in range(1, 17):
                     table = wg_class_table(k, n)
@@ -162,7 +172,7 @@ class TestEntryCensusOracle:
                 conj_rows = tuple(rng.randint(1, n) for _ in range(k))
                 conj_cols = tuple(rng.randint(1, n) for _ in range(k))
             spec = MomentSpec(n, rows, cols, conj_rows, conj_cols)
-            census = entry_census(spec)
+            census = census_of(spec)
             assert census == pairwise_entry_census(spec), spec
             shapes["balanced" if census else "unbalanced"] += 1
         assert min(shapes.values()) > 20, shapes
@@ -172,14 +182,14 @@ class TestEntryCensusOracle:
         specs = [MomentSpec(int(m), *map(tuple, w[:4])) for m, pool in words.items() for w in pool]
         assert len(specs) == 24
         for spec in specs:
-            assert entry_census(spec) == pairwise_entry_census(spec), spec
+            assert census_of(spec) == pairwise_entry_census(spec), spec
 
     def test_all_equal_word(self):
         # |Y n Z| = k!: one coset representative, k! products, weight k!
         for k in range(1, 6):
             ones = (1,) * k
             spec = MomentSpec(2, ones, ones, ones, ones)
-            census = entry_census(spec)
+            census = census_of(spec)
             assert census == pairwise_entry_census(spec)
             assert sum(census.values()) == math.factorial(k) ** 2
 
@@ -238,7 +248,7 @@ class TestShapeMemo:
             variants = [shape_variant(rng, spec) for _ in range(4)]
             assert pairwise_entry_census(variants[0]) == expect, variants[0]
             for variant in [spec] + variants:
-                assert entry_census(variant) == expect, variant
+                assert census_of(variant) == expect, variant
         assert min(shapes.values()) > 20, shapes
 
     def test_pairs_stay_together(self, cold_memo):
@@ -246,8 +256,8 @@ class TestShapeMemo:
         swapped = MomentSpec(2, (1, 2), (1, 2), (1, 2), (2, 1))
         straight = MomentSpec(2, (1, 2), (1, 2), (1, 2), (1, 2))
         for spec in (straight, swapped, straight):
-            assert entry_census(spec) == pairwise_entry_census(spec)
-        assert entry_census(swapped) != entry_census(straight)
+            assert census_of(spec) == pairwise_entry_census(spec)
+        assert census_of(swapped) != census_of(straight)
 
     def test_one_build_per_shape(self, cold_memo, monkeypatch):
         shapes = []
@@ -280,14 +290,14 @@ class TestShapeMemo:
             )
             expect = pairwise_entry_census(spec)
             assert pairwise_entry_census(swapped) == expect, spec
-            assert entry_census(spec) == entry_census(swapped) == expect, spec
+            assert census_of(spec) == census_of(swapped) == expect, spec
 
-    def test_returned_census_is_fresh(self, cold_memo):
+    def test_returned_census_is_shared_and_immutable(self, cold_memo):
         spec = MomentSpec(3, (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2))
-        census = entry_census(spec)
-        census[(3,)] += 7
-        census.clear()
-        assert entry_census(spec) == pairwise_entry_census(spec) != {}
+        word = (spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)
+        census = word_census(*word)
+        assert isinstance(census, tuple) and word_census(*word) is census
+        assert census_of(spec) == pairwise_entry_census(spec) != {}
 
 
 class TestUnitarityIdentities:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from ringmoments.exact_moments import trace_moment_sq, trace_moment_uu
 from ringmoments.haar_moments import MomentSpec
 from ringmoments.montecarlo import (
     CSV_COLUMNS,
+    EigensolverError,
     ExperimentRecord,
     OverflowGuardError,
     ProfileFamily,
@@ -131,14 +133,7 @@ class TestSamplers:
         expected = s[:, None] * haar_batch(4, 5, rng_stream(31, 2))
         assert drawn.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            (Fraction(10**400), 1),  # an entry
-            (Fraction(10**200), 1),  # b
-            (1e200, 1.0),  # b, whose square sum is inf in floats
-        ],
-    )
+    @pytest.mark.parametrize("values", [(Fraction(10**400), 1)])  # an entry
     def test_profile_beyond_floats_is_rejected_before_sampling(self, values):
         profile = SingularProfile.from_values(values)
         rng = rng_stream(3)
@@ -147,19 +142,32 @@ class TestSamplers:
         # nothing was drawn from the stream
         assert np.array_equal(rng.standard_normal(4), rng_stream(3).standard_normal(4))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (Fraction(10**200), 1),  # b2 is beyond the float range, b is not
+            (1e200, 1.0),  # the square sum is inf in floats
+        ],
+    )
+    def test_profile_near_the_float_limit_is_sampled(self, values):
+        # b is computed on scaled entries: about sqrt(10^400 / 2), a float
+        profile = SingularProfile.from_values(values)
+        drawn = sample_A_batch(profile, 2, rng_stream(3))
+        assert drawn.shape == (2, 2, 2) and np.all(np.isfinite(drawn))
+
     def test_profile_whose_squares_underflow_is_sampled(self):
         # 1 / (s * s) overflows for s = 1e-200, but a is a float: sqrt(2) s
         profile = SingularProfile.from_values((1e-200, 1.0))
         assert profile.a == pytest.approx(1.41421356e-200, rel=1e-8)
         drawn = sample_A_batch(profile, 2, rng_stream(3))
         assert drawn.shape == (2, 2, 2) and np.all(np.isfinite(drawn))
-        # the power-of-two scale is exact: where a2 has no underflow, a keeps
-        # the bits of sqrt(a2), so sampled records keep theirs
-        rng = np.random.default_rng(11)
-        for n in (1, 3, 64, 512):
-            for _ in range(25):
-                ordinary = SingularProfile.from_values(rng.uniform(0.5, 4.0, n).tolist())
-                assert ordinary.a == math.sqrt(ordinary.a2)
+
+    def test_haar_batch_validation(self):
+        rng = rng_stream(0)
+        with pytest.raises(ValueError, match="at least 1"):
+            haar_batch(0, 1, rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            haar_batch(2, 0, rng)
 
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
@@ -195,12 +203,17 @@ class TestRngStreams:
         assert not np.array_equal(base, rng_stream(42, 1).standard_normal(5))
         assert not np.array_equal(base, rng_stream(43, 0).standard_normal(5))
 
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (2**63, 0), (0, -1), (0, 2**63)])
+    def test_seed_and_index_must_fit_63_bits(self, seed, index):
+        with pytest.raises(ValueError, match="nonnegative 63-bit integer"):
+            rng_stream(seed, index)
+
 
 class TestEstimates:
     def test_estimator_matches_exact_uu(self):
         profile = SingularProfile.from_values([1.0, 2.0, 3.0])
         est = estimate_trace_moment(2, profile, samples=20000, seed=1)
-        exact = float(trace_moment_uu(2, profile.to_exact()))
+        exact = float(trace_moment_uu(2, SingularProfile.from_values([1, 2, 3])))
         tol = 4 * est.std_error + 1e-9 * abs(exact)
         assert abs(est.mean - exact) < tol
         assert est.statistic == "trace_uu"
@@ -209,7 +222,7 @@ class TestEstimates:
     def test_estimator_matches_exact_sq(self):
         profile = SingularProfile.from_values([1.0, 2.0, 3.0])
         est = estimate_trace_moment(2, profile, samples=20000, seed=2, mode="sq")
-        exact = float(trace_moment_sq(2, profile.to_exact()))
+        exact = float(trace_moment_sq(2, SingularProfile.from_values([1, 2, 3])))
         assert abs(est.mean - exact) < 4 * est.std_error + 1e-9 * abs(exact)
         assert est.statistic == "trace_sq"
 
@@ -278,6 +291,13 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_trace_moment(1, profile, samples=10, seed=0, mode="bad")
 
+    def test_power_overflow_is_guarded_without_warnings(self):
+        a = np.full((1, 2, 2), 1e200, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuardError, match="exponent <= 2"):
+                montecarlo._power_batch(a, 2)
+
     def test_non_finite_estimate_fails_closed(self):
         # A^40 stays finite, but the spread of |.|^2 overflows
         profile = SingularProfile.from_values([1000.0, 2000.0])
@@ -340,6 +360,37 @@ class TestSpectrumRecords:
     def test_replication_validation(self):
         with pytest.raises(ValueError):
             spectrum_records(ProfileFamily("constant", 1.0), [4], 0, 0)
+
+    def test_eigensolver_failure_names_the_stream(self, monkeypatch):
+        calls = []
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("no convergence")
+            return extreme_eigenvalues(a)
+
+        monkeypatch.setattr(montecarlo, "extreme_eigenvalues", failing)
+        with pytest.raises(EigensolverError, match=r"seed=5, stream=1\)") as excinfo:
+            spectrum_records(ProfileFamily("constant", 1.0), [4], 3, seed=5)
+        assert (excinfo.value.seed, excinfo.value.stream_index) == (5, 1)
+
+    def test_records_carry_the_profile(self):
+        profile = SingularProfile.from_values([Fraction(1, 2), 2, 3])
+        records = montecarlo.profile_records(profile, 4, 9, [("x", 1.5), ("y", -2.0)])
+        assert [(r.stat, r.value) for r in records] == [("x", 1.5), ("y", -2.0)]
+        for r in records:
+            assert (r.n, r.k, r.seed) == (3, 4, 9)
+            assert (r.b, r.a, r.M, r.m) == (profile.b, profile.a, 3.0, 0.5)
+
+    def test_tiny_family_keeps_b(self):
+        # s * s underflows for s = 1e-200: the records still carry b = 1e-200,
+        # so the radius deviation is tiny, not the radius itself
+        records = spectrum_records(ProfileFamily("constant", 1e-200), [4], 2, 3)
+        for record in records:
+            assert record.b == pytest.approx(1e-200, rel=1e-15)
+            if record.stat == "radius_deviation":
+                assert abs(record.value) < 1e-210
 
     def test_one_haar_draw_per_replication(self, monkeypatch):
         calls = []

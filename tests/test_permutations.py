@@ -84,7 +84,7 @@ class TestAlgebra:
     def test_identity(self):
         e = Permutation.identity(4)
         assert e.images == (1, 2, 3, 4)
-        assert e.num_cycles() == 4
+        assert len(e.cycle_type()) == 4
         assert e.transposition_distance() == 0
 
     def test_composition_order(self):
@@ -115,6 +115,28 @@ class TestAlgebra:
             Permutation.from_cycles(4, [(1, 2, 1)])
         with pytest.raises(ValueError):
             Permutation.from_cycles(2, [(1, 5)])
+
+    @pytest.mark.parametrize(
+        "images,message",
+        [((), "degree must be at least 1"), ((1, 1), "not a bijection"), ((1, 3), "not a bijection")],
+    )
+    def test_images_must_be_a_bijection(self, images, message):
+        # no points, a repeated point, and an image outside 1..k
+        with pytest.raises(ValueError, match=message):
+            Permutation(images)
+
+    def test_point_outside_the_degree(self):
+        with pytest.raises(ValueError, match="point 3 outside 1..2"):
+            Permutation((2, 1))(3)
+
+    def test_empty_cycle_is_skipped(self):
+        assert Permutation.from_cycle_string("(1 2)()", 3) == Permutation((2, 1, 3))
+
+    @pytest.mark.parametrize("text", ["(1 2", "1 2)", "(1 x)"])
+    def test_malformed_cycle_string(self, text):
+        # unbalanced parentheses, no opening parenthesis, a non-integer point
+        with pytest.raises(ValueError, match="malformed cycle notation"):
+            Permutation.from_cycle_string(text, 3)
 
     def test_full_cycle(self):
         c = full_cycle(4)
@@ -161,7 +183,7 @@ class TestCycleStructure:
     def test_cycle_type_sorted_descending(self):
         p = Permutation.from_cycle_string("(1 2)(3 4 5)", 6)
         assert p.cycle_type() == (3, 2, 1)
-        assert p.num_cycles() == 3
+        assert len(p.cycle_type()) == 3
 
     def test_conjugation_preserves_type(self):
         for p in all_permutations(4):
@@ -216,6 +238,8 @@ class TestGroupEnumeration:
 
         for k in range(1, 7):
             assert len(list(all_permutations(k))) == math.factorial(k)
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            list(all_permutations(0))
 
     def test_sk0_membership_and_count(self):
         import math
@@ -292,7 +316,7 @@ class TestProperties:
 
     @given(permutations())
     def test_distance_is_k_minus_cycles(self, p):
-        assert p.transposition_distance() == p.degree - p.num_cycles()
+        assert p.transposition_distance() == p.degree - len(p.cycles())
 
     @given(permutations(), permutations())
     def test_distance_triangle_inequality(self, p, q):

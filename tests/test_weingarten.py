@@ -48,7 +48,7 @@ def gram_inverse_row(k: int, n: int) -> dict[tuple[int, ...], Fraction]:
     g = sympy.zeros(len(perms), len(perms))
     for a, p in enumerate(perms):
         for b, q in enumerate(perms):
-            g[a, b] = sympy.Integer(n) ** (p * q.inverse()).num_cycles()
+            g[a, b] = sympy.Integer(n) ** len((p * q.inverse()).cycle_type())
     inv = g.inv() if n >= k else g.pinv()
     ident = index[Permutation.identity(k)]
     out = {}
@@ -105,7 +105,7 @@ class TestExactTable:
                 for lam in integer_partitions(k):
                     pi = class_representative(lam, k)
                     total = sum(
-                        Fraction(n) ** (tau.inverse() * pi).num_cycles() * wg_exact(k, n, tau)
+                        Fraction(n) ** len((tau.inverse() * pi).cycle_type()) * wg_exact(k, n, tau)
                         for tau in taus
                     )
                     assert total == (1 if pi == Permutation.identity(k) else 0)
@@ -217,6 +217,33 @@ class TestPartitions:
         for k in range(1, 7):
             for lam in integer_partitions(k):
                 assert class_representative(lam, k).cycle_type() == lam
+        with pytest.raises(ValueError, match="does not sum to 4"):
+            class_representative((2, 1), 4)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pi: wg_exact(3, 4, pi),
+            lambda pi: wg_series(3, 4, pi, 2),
+            lambda pi: wg_bound(3, 8, pi),
+            lambda pi: wg_alt_bounds(3, 8, pi, 2),
+        ],
+        ids=["wg_exact", "wg_series", "wg_bound", "wg_alt_bounds"],
+    )
+    def test_degree_mismatch(self, call):
+        with pytest.raises(ValueError, match="degree 2 does not match k=3"):
+            call(Permutation.identity(2))
+
+    def test_series_domain(self):
+        pi = Permutation.identity(2)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            wg_series(2, 0, pi, 2)
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            wg_series(2, 4, pi, -1)
+        with pytest.raises(ValueError, match="word length must be nonnegative"):
+            monotone_counts(2, -1)
 
 
 class TestSeries:

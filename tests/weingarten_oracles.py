@@ -5,7 +5,7 @@
   ``ringmoments.weingarten``;
 * the monotone transposition word counts from a dynamic program over words;
 * the entry census pair by pair, over every matching pair (sigma, tau),
-  next to the coset count of ``haar_moments.entry_census``;
+  next to the coset count of ``haar_moments.word_census``;
 * the route-B census word by word, over every (phi, alpha, dressing), next
   to the conjugacy fold of ``exact_moments._route_b_census``;
 * the counting-lemma count word by word on ``Permutation`` objects, next to
