@@ -358,10 +358,7 @@ def _cmd_spectrum_experiment(args) -> int:
         records_path = _output_path(args, f"tail_records.{suffix}")
         writer(records, str(records_path))
         curve_path = _output_path(args, "tail_curve.csv")
-        with open(curve_path, "w", newline="") as fh:
-            fh.write("delta,p_radius_above,p_min_below\n")
-            for p in points:
-                fh.write(f"{p.delta!r},{p.p_radius_above!r},{p.p_min_below!r}\n")
+        montecarlo.write_records_csv(points, str(curve_path))
         for p in points:
             print(
                 f"delta={p.delta!r}: P(radius > b + delta)={p.p_radius_above!r} "
@@ -455,8 +452,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        # bad parameter values or unreadable inputs are usage errors
+    except (ValueError, OSError) as exc:
+        # bad parameter values, malformed JSON (a ValueError) or unreadable
+        # inputs are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -482,8 +482,6 @@ def _hook_coefficients(
     w_{r+1} = w_r (n+k-r-1) / (n-r-1); so does f_r = (k-r-1)! r! by its own
     ratio.  Every division is exact, and one gcd reduces the result.
     """
-    if statistic not in ("uu", "sq"):
-        raise ValueError(f"unknown statistic {statistic!r}")
     hooks = min(k, n)
     window = math.prod(range(n - hooks + 1, n + k))
     w, f = math.prod(range(n - hooks + 1, n)), math.factorial(k - 1)
@@ -662,7 +660,7 @@ def theorem_bound(
     _require_exact(profile)
     if mode not in ("uu", "sq"):
         raise ValueError(f"unknown mode {mode!r}")
-    eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
+    eps = Fraction(epsilon)
     if not 0 < eps < 2:
         raise ValueError("epsilon must lie strictly between 0 and 2")
     n = profile.n

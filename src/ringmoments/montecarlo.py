@@ -90,14 +90,14 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def _float_values(profile: SingularProfile) -> np.ndarray:
     """The entries of ``profile`` as a float array.  A ValueError naming the
-    profile when an entry or b lies beyond the float range; a <= b then
-    lies within it."""
+    profile when an exact entry or b lies beyond the float range (float
+    entries are finite by construction); a <= b then lies within it."""
     try:
         s = np.array([float(v) for v in profile.values])
         finite = math.isfinite(profile.b)
     except OverflowError:
         finite = False
-    if not finite or not np.all(np.isfinite(s)):
+    if not finite:
         raise ValueError(f"profile of n = {profile.n} cannot be sampled: an "
                          "entry or b lies beyond the float range")
     return s
@@ -265,9 +265,6 @@ class ExperimentRecord:
     a: float
     M: float
     m: float
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def profile_records(
@@ -450,12 +447,14 @@ class _FixedProfileFamily:
         return self.profile
 
 
-def write_records_csv(records: Iterable[ExperimentRecord], path: str) -> None:
-    """CSV with the exact header n,k,seed,stat,value,b,a,M,m; ``csv`` writes
-    floats with repr, so rereading reproduces them bit for bit."""
+def write_records_csv(records: Iterable, path: str) -> None:
+    """CSV of dataclass rows headed by their field names, those of
+    ``ExperimentRecord`` when there are none; ``csv`` writes floats with
+    repr, so rereading reproduces them bit for bit."""
+    records = list(records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(f.name for f in fields(records[0] if records else ExperimentRecord))
         writer.writerows(astuple(r) for r in records)
 
 

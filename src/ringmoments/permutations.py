@@ -214,8 +214,6 @@ class Permutation:
 
 def all_permutations(k: int) -> Iterator[Permutation]:
     """All of S_k in lexicographic image order."""
-    if k < 1:
-        raise ValueError("degree must be at least 1")
     for images in itertools.permutations(range(1, k + 1)):
         yield Permutation(images)
 

@@ -2,8 +2,10 @@
 
 A profile is the ordered tuple (s_1, ..., s_n) of prescribed singular values.
 Profiles come in two arithmetic modes: exact (every entry an int or Fraction,
-normalized to Fraction) and float.  Exact trace moments require the exact
-mode; ``montecarlo`` builds the float view of either mode that it samples.
+normalized to Fraction) and float.  Every entry must be nonnegative, and in
+float mode finite: NaN and infinite entries are rejected at construction.
+Exact trace moments require the exact mode; ``montecarlo`` builds the float
+view of either mode that it samples.
 
 Derived quantities are properties, recomputed on access:
 
@@ -54,12 +56,14 @@ class SingularProfile:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("profile needs at least one singular value")
-        if any(v < 0 for v in self.values):
-            raise ValueError("singular values must be nonnegative")
         if all(isinstance(v, (int, Fraction)) for v in self.values):
             normalized = tuple(Fraction(v) for v in self.values)
         else:
             normalized = tuple(float(v) for v in self.values)
+            if not all(map(math.isfinite, normalized)):
+                raise ValueError("float singular values must be finite")
+        if any(v < 0 for v in self.values):
+            raise ValueError("singular values must be nonnegative")
         object.__setattr__(self, "values", normalized)
 
     @classmethod

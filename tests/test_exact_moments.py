@@ -598,8 +598,6 @@ class TestHookSums:
         # (H_r / k) (n + k - 1 - 2r) / C_r: 2 * 4 / 24 and 1 * 2 / 6
         nums, den = exact_moments._hook_coefficients("uu", 3, 2)
         assert [Fraction(a, den) for a in nums] == [Fraction(8, 24), Fraction(2, 6)]
-        with pytest.raises(ValueError):
-            exact_moments._hook_coefficients("xx", 3, 2)
 
     def test_hook_coefficients_are_positive(self):
         # every hook with at most n rows gets a positive weight: uu's factor

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,12 @@ from ringmoments import montecarlo
 from ringmoments.exact_moments import trace_moment_sq, trace_moment_uu
 from ringmoments.haar_moments import MomentSpec
 from ringmoments.montecarlo import (
-    CSV_COLUMNS,
     EigensolverError,
     ExperimentRecord,
     OverflowGuardError,
     ProfileFamily,
     RateFit,
+    TailPoint,
     estimate_trace_moment,
     extreme_eigenvalues,
     haar_batch,
@@ -34,12 +35,14 @@ from ringmoments.montecarlo import (
 )
 from ringmoments.profiles import SingularProfile
 
+CSV_COLUMNS = [f.name for f in fields(ExperimentRecord)]
+
 
 def read_records_csv(path: str) -> list[ExperimentRecord]:
     """Records back from ``write_records_csv``; rejects any other header."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CSV_COLUMNS):
+        if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
         return [
             ExperimentRecord(
@@ -494,6 +497,20 @@ class TestRecordIO:
         write_records_csv(read_records_csv(p1), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_csv_of_tail_points_has_their_header(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        points = [TailPoint(0.0, 0.30000000000000004, 1.0), TailPoint(0.5, 2.5e-300, 0.0)]
+        write_records_csv(points, os.fspath(path))
+        assert path.read_bytes() == (
+            b"delta,p_radius_above,p_min_below\n"
+            b"0.0,0.30000000000000004,1.0\n0.5,2.5e-300,0.0\n"
+        )
+
+    def test_csv_of_no_records_has_the_record_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_records_csv([], os.fspath(path))
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
     def test_jsonl_round_trip(self, tmp_path):
         records = self.make_records()
         path = os.fspath(tmp_path / "records.jsonl")
@@ -508,7 +525,7 @@ class TestRecordIO:
             read_records_csv(path)
 
     def test_record_field_order(self):
-        assert CSV_COLUMNS == ("n", "k", "seed", "stat", "value", "b", "a", "M", "m")
+        assert CSV_COLUMNS == ["n", "k", "seed", "stat", "value", "b", "a", "M", "m"]
         r = ExperimentRecord(4, 1, 0, "spectral_radius", 1.5, 1.0, 0.5, 2.0, 0.5)
         assert [getattr(r, c) for c in CSV_COLUMNS] == [
             4, 1, 0, "spectral_radius", 1.5, 1.0, 0.5, 2.0, 0.5,

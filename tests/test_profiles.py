@@ -13,7 +13,15 @@ from ringmoments.profiles import SingularProfile
 class TestConstruction:
     @pytest.mark.parametrize(
         "values,message",
-        [((), "at least one singular value"), ((1, -2), "nonnegative"), ((0.5, -1e-9), "nonnegative")],
+        [
+            ((), "at least one singular value"),
+            ((1, -2), "nonnegative"),
+            ((0.5, -1e-9), "nonnegative"),
+            ((float("nan"), 1.0), "finite"),
+            ((1.0, float("nan")), "finite"),
+            ((float("inf"),), "finite"),
+            ((-math.inf, 1.0), "finite"),
+        ],
     )
     def test_empty_and_negative_profiles_rejected(self, values, message):
         with pytest.raises(ValueError, match=message):
