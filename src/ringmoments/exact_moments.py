@@ -456,14 +456,6 @@ def equality_patterns(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def _require_exact(profile: SingularProfile) -> None:
-    if not profile.is_exact:
-        raise ValueError(
-            "exact trace moments need rational singular values; "
-            "give the profile int or Fraction entries"
-        )
-
-
 def _hook_coefficients(
     statistic: Statistic, k: int, n: int
 ) -> tuple[tuple[int, ...], int]:
@@ -605,7 +597,6 @@ def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fractio
     degree k, so the moment is one fraction sum_r A_r s_r(X) / (Q D^k) with
     A_r / Q the certified coefficients from ``_certify``.
     """
-    _require_exact(profile)
     if k < 1:
         raise ValueError("moment order must be at least 1")
     numerators, denominator = _certify(statistic, k, profile.n)
@@ -657,7 +648,6 @@ def theorem_bound(
     epsilon: Fraction | float = Fraction(1, 2),
 ) -> BoundReport:
     """Envelope report for the chosen trace moment; see BoundReport."""
-    _require_exact(profile)
     if mode not in ("uu", "sq"):
         raise ValueError(f"unknown mode {mode!r}")
     eps = Fraction(epsilon)
@@ -751,7 +741,6 @@ class CensusReport:
 
 def composition_census(k: int, profile: SingularProfile) -> CensusReport:
     """Evaluate every link of the counting chain exactly; see CensusReport."""
-    _require_exact(profile)
     if k < 2:
         raise ValueError("census needs k >= 2")
     n = profile.n

@@ -89,9 +89,9 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _float_values(profile: SingularProfile) -> np.ndarray:
-    """The entries of ``profile`` as a float array.  A ValueError naming the
-    profile when an exact entry or b lies beyond the float range (float
-    entries are finite by construction); a <= b then lies within it."""
+    """The float view of ``profile``: its entries rounded to floats.  A
+    ValueError naming the profile when an entry or b lies beyond the float
+    range; a <= b then lies within it."""
     try:
         s = np.array([float(v) for v in profile.values])
         finite = math.isfinite(profile.b)
@@ -234,7 +234,7 @@ class ProfileFamily:
     kinds:
     * "uniform-random": n independent draws, uniform on [lo, hi], consuming
       the replication's own stream,
-    * "grid": the deterministic grid from lo to hi,
+    * "grid": the exact grid from lo to hi, ``SingularProfile.uniform_grid``,
     * "constant": lo repeated.
     """
 
@@ -246,9 +246,9 @@ class ProfileFamily:
         if self.kind == "uniform-random":
             return SingularProfile(tuple(rng.uniform(self.lo, self.hi, n)))
         if self.kind == "grid":
-            return SingularProfile.uniform_grid(float(self.lo), float(self.hi), n)
+            return SingularProfile.uniform_grid(self.lo, self.hi, n)
         if self.kind == "constant":
-            return SingularProfile.constant(float(self.lo), n)
+            return SingularProfile.constant(self.lo, n)
         raise ValueError(f"unknown family kind {self.kind!r}")
 
 

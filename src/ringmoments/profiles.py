@@ -1,26 +1,24 @@
 """Singular value profiles for the sampled matrices.
 
-A profile is the ordered tuple (s_1, ..., s_n) of prescribed singular values.
-Profiles come in two arithmetic modes: exact (every entry an int or Fraction,
-normalized to Fraction) and float.  Every entry must be nonnegative, and in
-float mode finite: NaN and infinite entries are rejected at construction.
-Exact trace moments require the exact mode; ``montecarlo`` builds the float
-view of either mode that it samples.
+A profile is the ordered tuple (s_1, ..., s_n) of prescribed singular values,
+held as exact Fractions.  An int, float or Decimal entry converts losslessly,
+so a float entry is stored as the rational it denotes.  Every entry must be
+finite and nonnegative.  ``montecarlo`` samples the float view float(s_i).
 
 Derived quantities are properties, recomputed on access:
 
 * M, m: largest and smallest singular value,
-* b2 = (1/n) * sum s_i^2 and b = sqrt(b2),
-* a2 = n / sum s_i^(-2) and a = sqrt(a2), with a = 0 as soon as some
-  s_i == 0 (the reciprocal sum is infinite).
+* b2 = (1/n) * sum s_i^2, exact, and b = sqrt(b2),
+* a = sqrt(n / sum s_i^(-2)), with a = 0 as soon as some s_i is 0 (the
+  reciprocal sum is infinite).
 
-b and a are floats computed so that they do not under- or overflow where
-the root itself is a float.  In float mode b is computed on the entries
-scaled by the power of two just below M, and a on those scaled by the power
-of two just below m; in exact mode each is ldexp(sqrt(float(q / 4^e)), e)
-with q = b2 or a2 and 4^e near q.  Power-of-two scales are exact, so b and a
-keep the bits of sqrt(b2) and sqrt(a2) wherever those have no under- or
-overflow.
+b and a are floats computed on the float view x_i = float(s_i): b on the x_i
+scaled by the power of two just below max x, a on those scaled by the power
+of two just below min x.  Power-of-two scales are exact, so b and a keep the
+bits of sqrt(mean x_i^2) and sqrt(n / sum x_i^(-2)) wherever those neither
+under- nor overflow, and they do not under- or overflow where the roots
+themselves are floats.  An entry beyond the float range makes both raise
+OverflowError.
 """
 
 from __future__ import annotations
@@ -38,33 +36,28 @@ def _power_of_two_below(x: float) -> float:
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
-def _float_sqrt(q: Fraction) -> float:
-    """sqrt(q) for a rational q >= 0, taken on q / 4^e in (1/2, 4) and scaled
-    back by 2^e; an OverflowError when it lies beyond the float range."""
-    if q == 0:
-        return 0.0
-    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-    return math.ldexp(math.sqrt(float(q / Fraction(4) ** e)), e)
-
-
 @dataclass(frozen=True)
 class SingularProfile:
-    """Immutable singular value profile; see module docstring."""
+    """Immutable singular value profile; see module docstring.
+
+    >>> SingularProfile((0.5, 2)).values
+    (Fraction(1, 2), Fraction(2, 1))
+    >>> SingularProfile((0.1,)).values[0]
+    Fraction(3602879701896397, 36028797018963968)
+    """
 
     values: tuple
 
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("profile needs at least one singular value")
-        if all(isinstance(v, (int, Fraction)) for v in self.values):
-            normalized = tuple(Fraction(v) for v in self.values)
-        else:
-            normalized = tuple(float(v) for v in self.values)
-            if not all(map(math.isfinite, normalized)):
-                raise ValueError("float singular values must be finite")
-        if any(v < 0 for v in self.values):
+        try:
+            exact = tuple(map(Fraction, self.values))
+        except (ValueError, OverflowError):  # NaN or an infinity
+            raise ValueError("singular values must be finite") from None
+        if any(v < 0 for v in exact):
             raise ValueError("singular values must be nonnegative")
-        object.__setattr__(self, "values", normalized)
+        object.__setattr__(self, "values", exact)
 
     @classmethod
     def from_values(cls, values: Sequence[Scalar]) -> "SingularProfile":
@@ -76,63 +69,45 @@ class SingularProfile:
 
     @classmethod
     def uniform_grid(cls, lo: Scalar, hi: Scalar, n: int) -> "SingularProfile":
-        """The deterministic grid s_i = lo + (i-1) (hi-lo) / (n-1); exact when
-        the endpoints are exact.  n = 1 yields (lo,)."""
-        if n < 1:
-            raise ValueError("profile needs at least one singular value")
-        if isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction)):
-            lo_x, hi_x = Fraction(lo), Fraction(hi)
-        else:
-            lo_x, hi_x = float(lo), float(hi)
+        """The exact grid s_i = lo + (i-1) (hi-lo) / (n-1) between the exact
+        values of lo and hi.  n = 1 yields (lo,), and n < 1 the empty tuple,
+        which the constructor rejects."""
         if n == 1:
-            return cls((lo_x,))
-        step = (hi_x - lo_x) / (n - 1)
-        return cls(tuple(lo_x + i * step for i in range(n)))
+            return cls((lo,))
+        lo, hi = cls((lo, hi)).values  # converted and checked like entries
+        step = (hi - lo) / (n - 1)
+        return cls(tuple(lo + i * step for i in range(n)))
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     @property
-    def is_exact(self) -> bool:
-        return isinstance(self.values[0], Fraction)
-
-    @property
-    def M(self):
+    def M(self) -> Fraction:
         return max(self.values)
 
     @property
-    def m(self):
+    def m(self) -> Fraction:
         return min(self.values)
 
     @property
-    def b2(self):
-        total = sum(v * v for v in self.values)
-        if self.is_exact:
-            return Fraction(total, self.n)
-        return total / self.n
+    def b2(self) -> Fraction:
+        return sum(v * v for v in self.values) / self.n
 
     @property
     def b(self) -> float:
-        if self.is_exact:
-            return _float_sqrt(self.b2)
-        if self.M == 0:
+        x = [float(v) for v in self.values]
+        top = max(x)
+        if top == 0:
             return 0.0
-        p = _power_of_two_below(self.M)
-        return p * math.sqrt(sum(w * w for w in (v / p for v in self.values)) / self.n)
-
-    @property
-    def a2(self):
-        if any(v == 0 for v in self.values):
-            return Fraction(0) if self.is_exact else 0.0
-        total = sum(1 / (v * v) for v in self.values)
-        return self.n / total
+        p = _power_of_two_below(top)
+        return p * math.sqrt(sum(w * w for w in (v / p for v in x)) / self.n)
 
     @property
     def a(self) -> float:
-        if self.is_exact:
-            return _float_sqrt(self.a2)
-        if self.m == 0:
+        x = [float(v) for v in self.values]
+        bottom = min(x)
+        if bottom == 0:
             return 0.0
-        p = _power_of_two_below(self.m)
-        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in self.values)))
+        p = _power_of_two_below(bottom)
+        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in x)))

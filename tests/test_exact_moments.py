@@ -495,10 +495,13 @@ class TestStructuralProperties:
         for k in (1, 2, 3, 4, 5):
             assert trace_moment_sq(k, SingularProfile.constant(c, 6)) == min(k, 6) * c ** (2 * k)
 
-    def test_float_profile_rejected_for_exact_path(self):
-        profile = SingularProfile.from_values([1.0, 2.0])
-        with pytest.raises(ValueError):
-            trace_moment_uu(2, profile)
+    def test_float_profile_is_its_exact_rational(self):
+        floats = SingularProfile((0.5, 2.0))
+        exact = SingularProfile((Fraction(1, 2), 2))
+        assert floats == exact
+        for moment in (trace_moment_uu, trace_moment_sq):
+            value = moment(2, floats)
+            assert type(value) is Fraction and value == moment(2, exact)
 
 
 class TestHookSums:

@@ -136,7 +136,13 @@ class TestSamplers:
         expected = s[:, None] * haar_batch(4, 5, rng_stream(31, 2))
         assert drawn.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("values", [(Fraction(10**400), 1)])  # an entry
+    def test_uniform_random_float_view_is_the_draws(self):
+        profile = ProfileFamily("uniform-random", 0.5, 4.0).realize(64, rng_stream(5, 1))
+        draws = rng_stream(5, 1).uniform(0.5, 4.0, 64)
+        assert montecarlo._float_values(profile).tobytes() == draws.tobytes()
+
+    # an entry, exact or an int beside a float
+    @pytest.mark.parametrize("values", [(Fraction(10**400), 1), (10**400, 1.0)])
     def test_profile_beyond_floats_is_rejected_before_sampling(self, values):
         profile = SingularProfile.from_values(values)
         rng = rng_stream(3)

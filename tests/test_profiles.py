@@ -2,6 +2,7 @@
 computed without under- or overflow."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,9 @@ class TestConstruction:
             ((1.0, float("nan")), "finite"),
             ((float("inf"),), "finite"),
             ((-math.inf, 1.0), "finite"),
+            ((1, Decimal("Infinity")), "finite"),
+            ((Decimal("-Infinity"), 1), "finite"),
+            ((Decimal("NaN"),), "finite"),
         ],
     )
     def test_empty_and_negative_profiles_rejected(self, values, message):
@@ -39,7 +43,6 @@ class TestRoots:
     @pytest.mark.parametrize("values", [(Fraction(0), 1, 2), (0.0, 1.0, 2.0)])
     def test_a_vanishes_with_a_zero_entry(self, values):
         profile = SingularProfile(values)
-        assert profile.a2 == 0 and type(profile.a2) is type(profile.values[0])
         assert profile.a == 0.0
 
     @pytest.mark.parametrize("values", [(Fraction(0), 0), (0.0, 0.0)])
@@ -69,15 +72,15 @@ class TestRoots:
             SingularProfile((Fraction(10**400), 1)).b
 
     def test_scaled_roots_keep_the_bits_of_the_plain_roots(self):
-        # power-of-two scales are exact: where b2 and a2 neither under- nor
-        # overflow, b and a are sqrt(b2) and sqrt(a2) bit for bit, in both modes
+        # power-of-two scales are exact: where the plain sums over the float
+        # view x neither under- nor overflow (x^2 stays within 1e-198..1e201
+        # here), b and a are sqrt(mean x^2) and sqrt(n / sum x^-2) bit for bit
         rng = np.random.default_rng(12)
         for n in (1, 3, 64, 512):
             for _ in range(25):
                 values = rng.uniform(0.0, 4.0, n) * 10.0 ** rng.uniform(-100, 100)
-                for profile in (
-                    SingularProfile(tuple(values.tolist())),
-                    SingularProfile(tuple(Fraction(v) for v in values.tolist())),
-                ):
-                    assert profile.b == math.sqrt(profile.b2)
-                    assert profile.a == math.sqrt(profile.a2)
+                profile = SingularProfile(tuple(values.tolist()))
+                x = [float(v) for v in profile.values]
+                assert x == values.tolist()
+                assert profile.b == math.sqrt(sum(v * v for v in x) / n)
+                assert profile.a == math.sqrt(n / sum(1 / (v * v) for v in x))
