@@ -215,7 +215,7 @@ def _cmd_verify_lemmas(args) -> int:
                         )
                     if not chk.ok:
                         failures += 1
-    n = max(k * k, k) if args.n is None else args.n
+    n = k * k if args.n is None else args.n
     if k * k < 2 * n:
         table = wg_class_table(k, n)
         print(f"magnitude check at k = {k}, n = {n}:")
@@ -258,7 +258,8 @@ def _cmd_mc_moment(args) -> int:
             print(f"deviation = {sigma:.2f} standard errors")
     if args.output:
         path = _output_path(args, args.output)
-        records = montecarlo.profile_records(profile, args.k, args.seed, (
+        view = montecarlo.float_view(profile)
+        records = montecarlo.profile_records(view, args.k, args.seed, (
             (f"{est.statistic}_mean", est.mean),
             (f"{est.statistic}_stderr", est.std_error),
         ))
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--n", type=int, default=None,
-        help="dimension for the magnitude check, at least 1 (default max(k^2, k))",
+        help="dimension for the magnitude check, at least 1 (default k^2)",
     )
     p.set_defaults(func=_cmd_verify_lemmas)
 

@@ -13,9 +13,9 @@ no matrix product.  The matrix law of T W is not that of U T V (its rows
 have the fixed norms s_i), so the samplers of A are for similarity-invariant
 statistics only.  ``mc_entry_moment`` samples the Haar matrix itself.
 
-The only module of the package that imports numpy.  A profile is sampled
-through its float view ``_float_values``, which rejects a profile whose
-entries or b lie beyond the float range.
+The only module of the package that imports numpy or reads a profile in
+floats: each sampling entry point builds ``float_view(profile)`` once, the
+rounded entries with b, a, M and m, and hands it down.
 
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
@@ -88,29 +88,58 @@ def haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _float_values(profile: SingularProfile) -> np.ndarray:
-    """The float view of ``profile``: its entries rounded to floats.  A
+@dataclass(frozen=True, eq=False)
+class FloatView:
+    """What the sampler reads of a profile: its entries rounded to floats,
+    and b, a, M and m computed from them by ``float_view``."""
+
+    values: np.ndarray
+    b: float
+    a: float
+    M: float
+    m: float
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+
+def float_view(profile: SingularProfile) -> FloatView:
+    """The float view of ``profile``: x_i = float(s_i); M = max x and
+    m = min x, which are float(profile.M) and float(profile.m) as rounding is
+    monotone; b = sqrt(mean x_i^2) on the x_i scaled by the power of two
+    just below M, and a = sqrt(n / sum x_i^(-2)) on them scaled by the power
+    of two just below m, or 0 when m is.  Power-of-two scales are exact, so
+    b and a keep the bits of the plain roots wherever those neither under-
+    nor overflow, and neither under- nor overflows where it is a float.  A
     ValueError naming the profile when an entry or b lies beyond the float
     range; a <= b then lies within it."""
+    n = profile.n
     try:
-        s = np.array([float(v) for v in profile.values])
-        finite = math.isfinite(profile.b)
+        x = [float(v) for v in profile.values]
+        big, small = max(x), min(x)
+        b = a = 0.0
+        if big > 0:
+            p = math.ldexp(1.0, math.frexp(big)[1] - 1)  # big / 2 < p <= big
+            b = p * math.sqrt(sum(w * w for w in (v / p for v in x)) / n)
+        if not math.isfinite(b):
+            raise OverflowError  # rejected like an entry beyond the range
     except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"profile of n = {profile.n} cannot be sampled: an "
-                         "entry or b lies beyond the float range")
-    return s
+        raise ValueError(f"profile of n = {n} cannot be sampled: an entry "
+                         "or b lies beyond the float range") from None
+    if small > 0:
+        p = math.ldexp(1.0, math.frexp(small)[1] - 1)  # small / 2 < p <= small
+        a = p * math.sqrt(n / sum(1 / (w * w) for w in (v / p for v in x)))
+    return FloatView(np.array(x), b, a, big, small)
 
 
 def sample_A_batch(
-    profile: SingularProfile, count: int, rng: np.random.Generator
+    view: FloatView, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` draws of T W from one ``haar_batch`` call: row i of each
     Haar W scaled by s_i.  Each is unitarily similar to a draw of U T V."""
-    s = _float_values(profile)
-    w = haar_batch(profile.n, count, rng)
-    w *= s[:, None]
+    w = haar_batch(view.n, count, rng)
+    w *= view.values[:, None]
     return w
 
 
@@ -190,9 +219,10 @@ def estimate_trace_moment(
         raise ValueError("need at least 2 samples for a standard error")
     if mode not in ("uu", "sq"):
         raise ValueError(f"unknown mode {mode!r}")
+    view = float_view(profile)
 
     def batch(b: int, rng: np.random.Generator) -> np.ndarray:
-        p = _power_batch(sample_A_batch(profile, b, rng), k)
+        p = _power_batch(sample_A_batch(view, b, rng), k)
         with np.errstate(over="ignore"):  # an inf is rejected with the estimate
             if mode == "uu":
                 return np.sum(np.abs(p) ** 2, axis=(1, 2))
@@ -236,20 +266,29 @@ class ProfileFamily:
       the replication's own stream,
     * "grid": the exact grid from lo to hi, ``SingularProfile.uniform_grid``,
     * "constant": lo repeated.
+
+    The kind, and a uniform-random family's 0 <= lo <= hi, are checked when
+    the family is built; the grid and constant values are checked as
+    profile entries.
     """
 
     kind: Literal["uniform-random", "grid", "constant"]
     lo: float = 1.0
     hi: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform-random", "grid", "constant"):
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.kind == "uniform-random" and not 0 <= self.lo <= self.hi:
+            raise ValueError("uniform-random family needs 0 <= lo <= hi, got "
+                             f"lo = {self.lo!r}, hi = {self.hi!r}")
+
     def realize(self, n: int, rng: np.random.Generator) -> SingularProfile:
         if self.kind == "uniform-random":
             return SingularProfile(tuple(rng.uniform(self.lo, self.hi, n)))
         if self.kind == "grid":
             return SingularProfile.uniform_grid(self.lo, self.hi, n)
-        if self.kind == "constant":
-            return SingularProfile.constant(self.lo, n)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return SingularProfile.constant(self.lo, n)
 
 
 @dataclass(frozen=True)
@@ -268,14 +307,12 @@ class ExperimentRecord:
 
 
 def profile_records(
-    profile: SingularProfile, k: int, seed: int, values: Iterable[tuple[str, float]]
+    view: FloatView, k: int, seed: int, values: Iterable[tuple[str, float]]
 ) -> list[ExperimentRecord]:
     """One record per (stat, value) pair, each carrying the profile's n, b,
-    a, M and m: the builder of every sampled record."""
-    b, a = profile.b, profile.a
-    big, small = float(profile.M), float(profile.m)
+    a, M and m from its float view: the builder of every sampled record."""
     return [
-        ExperimentRecord(profile.n, k, seed, stat, value, b, a, big, small)
+        ExperimentRecord(view.n, k, seed, stat, value, view.b, view.a, view.M, view.m)
         for stat, value in values
     ]
 
@@ -284,18 +321,17 @@ def _spectrum_replication(
     family: ProfileFamily, n: int, seed: int, stream_index: int
 ) -> list[ExperimentRecord]:
     rng = rng_stream(seed, stream_index)
-    profile = family.realize(n, rng)
-    a_mat = sample_A_batch(profile, 1, rng)[0]
+    view = float_view(family.realize(n, rng))
+    a_mat = sample_A_batch(view, 1, rng)[0]
     try:
         hi, lo = extreme_eigenvalues(a_mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(seed, stream_index) from exc
-    b, a = profile.b, profile.a
-    return profile_records(profile, 1, seed, (
+    return profile_records(view, 1, seed, (
         ("spectral_radius", hi),
         ("min_modulus", lo),
-        ("radius_deviation", hi - b),
-        ("min_deviation", a - lo),
+        ("radius_deviation", hi - view.b),
+        ("min_deviation", view.a - lo),
     ))
 
 
@@ -417,19 +453,18 @@ def tail_experiment(
     must be at least one delta."""
     if not deltas:
         raise ValueError(f"deltas must be a nonempty list, got {list(deltas)}")
-    _float_values(profile)  # rejected before any replication runs
+    view = float_view(profile)  # rejected before any replication runs
     # grid position 0, so replication rep owns stream index rep
     records = spectrum_records(
         _FixedProfileFamily(profile), [profile.n], replications, seed, jobs
     )
     radii = [r.value for r in records if r.stat == "spectral_radius"]
     minima = [r.value for r in records if r.stat == "min_modulus"]
-    b, a = profile.b, profile.a
     points = [
         TailPoint(
             float(delta),
-            sum(v > b + delta for v in radii) / replications,
-            sum(v < a - delta for v in minima) / replications,
+            sum(v > view.b + delta for v in radii) / replications,
+            sum(v < view.a - delta for v in minima) / replications,
         )
         for delta in deltas
     ]

@@ -14,6 +14,7 @@ the rightmost factor is applied first.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -141,22 +142,18 @@ class Permutation:
 
     @classmethod
     def from_cycle_string(cls, text: str, k: int) -> "Permutation":
-        """Parse cycle notation such as ``(1 2)(3 4)``; ``id`` or ``()`` parse
-        to the identity."""
-        stripped = text.strip()
-        if stripped in ("id", "()", ""):
+        """Parse cycle notation such as ``(1 2)(3 4)``: parenthesised groups of
+        points, split by blanks or commas, with only blanks between and around
+        the groups.  ``id``, ``()`` or blank text parse to the identity."""
+        if text.strip() == "id":
             return cls.identity(k)
-        if stripped.count("(") != stripped.count(")") or not stripped.startswith("("):
+        if not re.fullmatch(r"(\s*\([^()]*\))*\s*", text):
             raise ValueError(f"malformed cycle notation: {text!r}")
-        cycles = []
-        for chunk in stripped.strip(")").split(")"):
-            body = chunk.strip().lstrip("(").strip()
-            if not body:
-                continue
-            try:
-                cycles.append([int(tok) for tok in body.replace(",", " ").split()])
-            except ValueError as exc:
-                raise ValueError(f"malformed cycle notation: {text!r}") from exc
+        try:
+            cycles = [[int(tok) for tok in body.replace(",", " ").split()]
+                      for body in re.findall(r"\(([^()]*)\)", text)]
+        except ValueError as exc:
+            raise ValueError(f"malformed cycle notation: {text!r}") from exc
         return cls.from_cycles(k, cycles)
 
     @property

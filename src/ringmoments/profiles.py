@@ -3,37 +3,24 @@
 A profile is the ordered tuple (s_1, ..., s_n) of prescribed singular values,
 held as exact Fractions.  An int, float or Decimal entry converts losslessly,
 so a float entry is stored as the rational it denotes.  Every entry must be
-finite and nonnegative.  ``montecarlo`` samples the float view float(s_i).
+finite and nonnegative.
 
-Derived quantities are properties, recomputed on access:
+Derived quantities are exact properties, recomputed on access:
 
 * M, m: largest and smallest singular value,
-* b2 = (1/n) * sum s_i^2, exact, and b = sqrt(b2),
-* a = sqrt(n / sum s_i^(-2)), with a = 0 as soon as some s_i is 0 (the
-  reciprocal sum is infinite).
+* b2 = (1/n) * sum s_i^2.
 
-b and a are floats computed on the float view x_i = float(s_i): b on the x_i
-scaled by the power of two just below max x, a on those scaled by the power
-of two just below min x.  Power-of-two scales are exact, so b and a keep the
-bits of sqrt(mean x_i^2) and sqrt(n / sum x_i^(-2)) wherever those neither
-under- nor overflow, and they do not under- or overflow where the roots
-themselves are floats.  An entry beyond the float range makes both raise
-OverflowError.
+The floats the sampler reads (the entries, b, a, M and m) belong to
+``montecarlo.float_view``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 Scalar = Union[int, float, Fraction]
-
-
-def _power_of_two_below(x: float) -> float:
-    """The power of two p with x / 2 < p <= x, for a float x > 0."""
-    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -93,21 +80,3 @@ class SingularProfile:
     @property
     def b2(self) -> Fraction:
         return sum(v * v for v in self.values) / self.n
-
-    @property
-    def b(self) -> float:
-        x = [float(v) for v in self.values]
-        top = max(x)
-        if top == 0:
-            return 0.0
-        p = _power_of_two_below(top)
-        return p * math.sqrt(sum(w * w for w in (v / p for v in x)) / self.n)
-
-    @property
-    def a(self) -> float:
-        x = [float(v) for v in self.values]
-        bottom = min(x)
-        if bottom == 0:
-            return 0.0
-        p = _power_of_two_below(bottom)
-        return p * math.sqrt(self.n / sum(1 / (w * w) for w in (v / p for v in x)))

@@ -122,6 +122,12 @@ class TestWgCommand:
         assert code == 2
         assert "usage error" in err
 
+    def test_text_after_the_cycles(self, capsys):
+        code, out, err = run(capsys, "wg", "--k", "3", "--n", "5", "--pi", "(1 2) 3")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: malformed cycle notation: '(1 2) 3'\n"
+
     def test_bad_j_prints_nothing(self, capsys):
         code, out, err = run(capsys, "wg", "--k", "3", "--n", "10", "--j", "1")
         assert code == 2
@@ -421,6 +427,25 @@ class TestMcMomentCommand:
         text = (tmp_path / "est.csv").read_text()
         assert text.startswith("n,k,seed,stat,value,b,a,M,m\n")
         assert "trace_uu_mean" in text and "trace_uu_stderr" in text
+
+    def test_output_reads_one_float_view(self, capsys, tmp_path, monkeypatch):
+        from ringmoments import montecarlo
+        calls = []
+        build = montecarlo.float_view
+
+        def counted(profile):
+            calls.append(profile.n)
+            return build(profile)
+
+        monkeypatch.setattr(montecarlo, "float_view", counted)
+        code, _, _ = run(
+            capsys,
+            "mc-moment", "--k", "2", "--profile", "1,2,3", "--samples", "100",
+            "--output", "est.csv", "--out", str(tmp_path),
+        )
+        assert code == 0
+        # one view for the estimate, one for the records
+        assert calls == [3, 3]
 
     def test_output_dir_from_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RINGMOMENTS_OUTPUT_DIR", str(tmp_path))
@@ -785,6 +810,12 @@ class TestSpectrumExperimentCommand:
             # an entry beyond the float range, serial and pooled
             ({"experiment": "tail", "profile": "1e400,1", "deltas": [0.1]}, "1"),
             ({"experiment": "tail", "profile": "1e400,1", "deltas": [0.1]}, "2"),
+            # a negative lo, refused whatever the draws would be
+            (
+                {"experiment": "radius-rate", "n_grid": [4],
+                 "family": {"kind": "uniform-random", "lo": -1e-300, "hi": 1.0}},
+                "1",
+            ),
         ],
     )
     def test_rejected_run_creates_no_directory(self, capsys, tmp_path, payload, jobs):

@@ -23,6 +23,7 @@ from ringmoments.montecarlo import (
     TailPoint,
     estimate_trace_moment,
     extreme_eigenvalues,
+    float_view,
     haar_batch,
     mc_entry_moment,
     radius_rate_experiment,
@@ -130,26 +131,26 @@ class TestSamplers:
             assert abs(abs(np.trace(pk)) ** 2 - abs(np.trace(sk)) ** 2) < 1e-10
 
     def test_sample_A_batch_is_one_scaled_haar_draw(self):
-        profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
-        s = montecarlo._float_values(profile)
-        drawn = sample_A_batch(profile, 5, rng_stream(31, 2))
-        expected = s[:, None] * haar_batch(4, 5, rng_stream(31, 2))
+        view = float_view(SingularProfile.from_values([0.5, 1.0, 2.0, 3.5]))
+        drawn = sample_A_batch(view, 5, rng_stream(31, 2))
+        expected = view.values[:, None] * haar_batch(4, 5, rng_stream(31, 2))
         assert drawn.tobytes() == expected.tobytes()
 
     def test_uniform_random_float_view_is_the_draws(self):
         profile = ProfileFamily("uniform-random", 0.5, 4.0).realize(64, rng_stream(5, 1))
         draws = rng_stream(5, 1).uniform(0.5, 4.0, 64)
-        assert montecarlo._float_values(profile).tobytes() == draws.tobytes()
+        assert float_view(profile).values.tobytes() == draws.tobytes()
 
     # an entry, exact or an int beside a float
     @pytest.mark.parametrize("values", [(Fraction(10**400), 1), (10**400, 1.0)])
-    def test_profile_beyond_floats_is_rejected_before_sampling(self, values):
+    def test_profile_beyond_floats_is_rejected_before_sampling(self, monkeypatch, values):
+        def no_draw(*args):
+            raise AssertionError("sampled a profile beyond the float range")
+
+        monkeypatch.setattr(montecarlo, "haar_batch", no_draw)
         profile = SingularProfile.from_values(values)
-        rng = rng_stream(3)
         with pytest.raises(ValueError, match="beyond the float range"):
-            sample_A_batch(profile, 1, rng)
-        # nothing was drawn from the stream
-        assert np.array_equal(rng.standard_normal(4), rng_stream(3).standard_normal(4))
+            estimate_trace_moment(2, profile, samples=10, seed=3)
 
     @pytest.mark.parametrize(
         "values",
@@ -160,15 +161,15 @@ class TestSamplers:
     )
     def test_profile_near_the_float_limit_is_sampled(self, values):
         # b is computed on scaled entries: about sqrt(10^400 / 2), a float
-        profile = SingularProfile.from_values(values)
-        drawn = sample_A_batch(profile, 2, rng_stream(3))
+        view = float_view(SingularProfile.from_values(values))
+        drawn = sample_A_batch(view, 2, rng_stream(3))
         assert drawn.shape == (2, 2, 2) and np.all(np.isfinite(drawn))
 
     def test_profile_whose_squares_underflow_is_sampled(self):
         # 1 / (s * s) overflows for s = 1e-200, but a is a float: sqrt(2) s
-        profile = SingularProfile.from_values((1e-200, 1.0))
-        assert profile.a == pytest.approx(1.41421356e-200, rel=1e-8)
-        drawn = sample_A_batch(profile, 2, rng_stream(3))
+        view = float_view(SingularProfile.from_values((1e-200, 1.0)))
+        assert view.a == pytest.approx(1.41421356e-200, rel=1e-8)
+        drawn = sample_A_batch(view, 2, rng_stream(3))
         assert drawn.shape == (2, 2, 2) and np.all(np.isfinite(drawn))
 
     def test_haar_batch_validation(self):
@@ -181,24 +182,114 @@ class TestSamplers:
     def test_sample_A_singular_values(self):
         profile = SingularProfile.from_values([0.5, 1.0, 2.0, 3.5])
         rng = rng_stream(5)
-        a = sample_A_batch(profile, 1, rng)[0]
+        a = sample_A_batch(float_view(profile), 1, rng)[0]
         sv = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(sorted(sv), sorted(map(float, profile.values)), atol=1e-8)
 
     def test_spectral_radius_never_exceeds_top_value(self):
         profile = SingularProfile.uniform_grid(0.5, 4.0, 12)
-        rng = rng_stream(9)
+        view, rng = float_view(profile), rng_stream(9)
         for _ in range(25):
-            hi, lo = extreme_eigenvalues(sample_A_batch(profile, 1, rng)[0])
+            hi, lo = extreme_eigenvalues(sample_A_batch(view, 1, rng)[0])
             assert hi <= float(profile.M) + 1e-8
             assert lo >= -1e-8
 
     def test_unitary_case_pins_both_extremes(self):
-        profile = SingularProfile.constant(1.0, 8)
-        rng = rng_stream(13)
-        hi, lo = extreme_eigenvalues(sample_A_batch(profile, 1, rng)[0])
+        view = float_view(SingularProfile.constant(1.0, 8))
+        hi, lo = extreme_eigenvalues(sample_A_batch(view, 1, rng_stream(13))[0])
         assert abs(hi - 1.0) < 1e-10
         assert abs(lo - 1.0) < 1e-10
+
+
+class TestFloatView:
+    @pytest.mark.parametrize("values", [(Fraction(0), 1, 2), (0.0, 1.0, 2.0)])
+    def test_a_vanishes_with_a_zero_entry(self, values):
+        assert float_view(SingularProfile(values)).a == 0.0
+
+    @pytest.mark.parametrize("values", [(Fraction(0), 0), (0.0, 0.0)])
+    def test_zero_profile(self, values):
+        view = float_view(SingularProfile(values))
+        assert view.b == view.a == view.M == view.m == 0.0
+
+    def test_tiny_entries_keep_b_and_a(self):
+        # s * s underflows to 0.0 for s = 1e-200; b and a must not
+        for profile in (
+            SingularProfile.constant(1e-200, 3),
+            SingularProfile.constant(Fraction("1e-200"), 3),
+        ):
+            view = float_view(profile)
+            assert view.b == pytest.approx(1e-200, rel=1e-15)
+            assert view.a == pytest.approx(1e-200, rel=1e-15)
+        view = float_view(SingularProfile((Fraction("1e-200"), 1)))
+        assert view.a == pytest.approx(1.4142135623730950e-200, rel=1e-15)
+        # the plain a2 is subnormal here, so its root would lose digits
+        view = float_view(SingularProfile((Fraction("1e-160"), 1)))
+        assert view.a == pytest.approx(1.4142135623730950e-160, rel=1e-15)
+
+    def test_huge_entries_keep_b(self):
+        # b2 = (10^400 + 1) / 2 lies beyond the float range, b does not
+        for values in ((Fraction(10**200), 1), (1e200, 1.0)):
+            view = float_view(SingularProfile(values))
+            assert view.b == pytest.approx(7.0710678118654752e199, rel=1e-15)
+        with pytest.raises(ValueError, match="n = 2 cannot be sampled"):
+            float_view(SingularProfile((Fraction(10**400), 1)))
+
+    def test_scaled_roots_keep_the_bits_of_the_plain_roots(self):
+        # power-of-two scales are exact: where the plain sums over the float
+        # view x neither under- nor overflow (x^2 stays within 1e-198..1e201
+        # here), b and a are sqrt(mean x^2) and sqrt(n / sum x^-2) bit for
+        # bit; M and m are the rounded exact extremes, as rounding is monotone
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 64, 512):
+            for _ in range(25):
+                values = rng.uniform(0.0, 4.0, n) * 10.0 ** rng.uniform(-100, 100)
+                profile = SingularProfile(tuple(values.tolist()))
+                view = float_view(profile)
+                x = view.values.tolist()
+                assert x == values.tolist()
+                assert view.b == math.sqrt(sum(v * v for v in x) / n)
+                assert view.a == math.sqrt(n / sum(1 / (v * v) for v in x))
+                assert (view.M, view.m) == (float(profile.M), float(profile.m))
+
+    @pytest.mark.parametrize(
+        "profile,columns",
+        [
+            (
+                SingularProfile.uniform_grid(Fraction(1, 2), 4, 64),
+                "(2.473002373783887, 1.3800284810242434, 4.0, 0.5)",
+            ),
+            (
+                SingularProfile((Fraction("0.3"), Fraction(1, 3), 7, Fraction(2, 7), 5)),
+                "(3.8544193794700736, 0.3927067092904317, 7.0, 0.2857142857142857)",
+            ),
+            (SingularProfile((1e-200, 1e-200)), "(1e-200, 1e-200, 1e-200, 1e-200)"),
+            (SingularProfile((1e200, 1.0)), "(7.071067811865475e+199, 1.4142135623730951, 1e+200, 1.0)"),
+        ],
+    )
+    def test_record_columns_are_pinned(self, profile, columns):
+        # pure-Python float arithmetic: the same bits on every platform
+        [record] = montecarlo.profile_records(float_view(profile), 1, 0, [("x", 0.0)])
+        assert repr((record.b, record.a, record.M, record.m)) == columns
+
+    def test_built_once_per_sampled_profile(self, monkeypatch):
+        calls = []
+        build = montecarlo.float_view
+
+        def counted(profile):
+            calls.append(profile.n)
+            return build(profile)
+
+        monkeypatch.setattr(montecarlo, "float_view", counted)
+        spectrum_records(ProfileFamily("uniform-random", 0.5, 2.0), [4, 6], 3, seed=8)
+        assert calls == [4] * 3 + [6] * 3
+        calls.clear()
+        # two batches of 3 x 3 draws, one view
+        estimate_trace_moment(2, SingularProfile.constant(1, 3), montecarlo._BATCH + 1, 0)
+        assert calls == [3]
+        calls.clear()
+        # one view for the early reject and b, a; one per replication
+        tail_experiment(SingularProfile.uniform_grid(0.5, 2.0, 5), [0.1], 2, seed=0)
+        assert calls == [5] * 3
 
 
 class TestRngStreams:
@@ -257,7 +348,7 @@ class TestEstimates:
         rng = rng_stream(7)
         traces = np.concatenate([
             np.abs(np.trace(a @ a, axis1=1, axis2=2)) ** 2
-            for a in (sample_A_batch(profile, b, rng) for b in sizes)
+            for a in (sample_A_batch(float_view(profile), b, rng) for b in sizes)
         ])
         est = estimate_trace_moment(2, profile, sum(sizes), 7, "sq")
         assert est.mean == float(traces.mean())
@@ -332,8 +423,21 @@ class TestProfileFamilies:
         assert all(0.5 <= float(v) <= 4.0 for v in p1.values)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ProfileFamily("weird").realize(3, rng_stream(0))
+        with pytest.raises(ValueError, match="unknown family kind 'weird'"):
+            ProfileFamily("weird")
+
+    @pytest.mark.parametrize("lo,hi", [(-1e-300, 1.0), (-0.5, 1.0), (2.0, 1.0)])
+    def test_uniform_random_bounds_checked_when_built(self, lo, hi):
+        # a negative lo is refused whatever the draws would have been
+        with pytest.raises(ValueError, match="uniform-random family needs 0 <= lo <= hi"):
+            ProfileFamily("uniform-random", lo, hi)
+
+    def test_grid_and_constant_values_are_checked_as_entries(self):
+        # a falling grid is a profile; a negative entry is not
+        assert ProfileFamily("grid", 2.0, 1.0).realize(2, rng_stream(0)).values == (2, 1)
+        family = ProfileFamily("constant", -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            family.realize(2, rng_stream(0))
 
 
 class TestSpectrumRecords:
@@ -385,12 +489,12 @@ class TestSpectrumRecords:
         assert (excinfo.value.seed, excinfo.value.stream_index) == (5, 1)
 
     def test_records_carry_the_profile(self):
-        profile = SingularProfile.from_values([Fraction(1, 2), 2, 3])
-        records = montecarlo.profile_records(profile, 4, 9, [("x", 1.5), ("y", -2.0)])
+        view = float_view(SingularProfile.from_values([Fraction(1, 2), 2, 3]))
+        records = montecarlo.profile_records(view, 4, 9, [("x", 1.5), ("y", -2.0)])
         assert [(r.stat, r.value) for r in records] == [("x", 1.5), ("y", -2.0)]
         for r in records:
             assert (r.n, r.k, r.seed) == (3, 4, 9)
-            assert (r.b, r.a, r.M, r.m) == (profile.b, profile.a, 3.0, 0.5)
+            assert (r.b, r.a, r.M, r.m) == (view.b, view.a, 3.0, 0.5)
 
     def test_tiny_family_keeps_b(self):
         # s * s underflows for s = 1e-200: the records still carry b = 1e-200,
@@ -451,7 +555,7 @@ class TestRateExperiment:
 class TestTailExperiment:
     def test_monotone_and_vanishing_tails(self):
         profile = SingularProfile.uniform_grid(0.5, 2.0, 16)
-        deltas = [0.0, 0.05, 0.1, 0.25, float(profile.M) - profile.b]
+        deltas = [0.0, 0.05, 0.1, 0.25, float(profile.M) - float_view(profile).b]
         _, points = tail_experiment(profile, deltas, replications=40, seed=12)
         ps = [p.p_radius_above for p in points]
         qs = [p.p_min_below for p in points]

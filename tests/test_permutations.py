@@ -132,9 +132,10 @@ class TestAlgebra:
     def test_empty_cycle_is_skipped(self):
         assert Permutation.from_cycle_string("(1 2)()", 3) == Permutation((2, 1, 3))
 
-    @pytest.mark.parametrize("text", ["(1 2", "1 2)", "(1 x)"])
+    @pytest.mark.parametrize("text", ["(1 2", "1 2)", "(1 x)", "(1 2))(", "(1 2) 3"])
     def test_malformed_cycle_string(self, text):
-        # unbalanced parentheses, no opening parenthesis, a non-integer point
+        # unbalanced parentheses, no opening parenthesis, a non-integer point,
+        # and text outside the parenthesised groups
         with pytest.raises(ValueError, match="malformed cycle notation"):
             Permutation.from_cycle_string(text, 3)
 
