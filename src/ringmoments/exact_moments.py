@@ -80,13 +80,15 @@ polynomials have nonnegative monomial coefficients (Kostka numbers), so
 both moments are polynomials in x with nonnegative coefficients, and
 neither falls when one s_i rises.
 
-Evaluation is in integers: the x_i are put over their common denominator D,
-e_j and h_j of the numerators come from O(n k) integer running sums over the
-variables, one ``itertools.accumulate`` per order, the Schur polynomials
-from the Pieri recursion, the coefficients are integer numerators over one
-denominator, memoised once per (statistic, k, n) together with their
-certificate (``_certify``, below), and a single Fraction is built at the
-end.
+Evaluation is in integers.  The profile stores its entries as integer
+numerators over one common denominator, so the x_i are the squared
+numerators over D, the squared denominator, with no conversion.  e_j and
+h_j of the squared numerators come from O(n k) integer running sums over
+the variables, one ``itertools.accumulate`` per order, and the Schur
+polynomials from the Pieri recursion.  The coefficients are integer
+numerators over one denominator, memoised once per (statistic, k, n)
+together with their certificate (``_certify``, below), and a single
+Fraction is built at the end.
 
 Certification by the Weingarten census
 --------------------------------------
@@ -560,7 +562,8 @@ def _scaled_symmetric_sums(
 ) -> tuple[list[int], list[int], int]:
     """(e, h, D): e_j(X) for j <= e_max and h_j(X) for j <= h_max, in
     integers, with X_i = D x_i the squared singular values x_i = s_i^2 over
-    D, the lcm of their denominators.
+    D, the square of the profile's denominator: X_i is the square of its
+    i-th numerator.
 
     Running sums over the variables, one column per order j: with E_j[m] and
     H_j[m] the values at X_1 .. X_m,
@@ -571,11 +574,7 @@ def _scaled_symmetric_sums(
     one, O(n (e_max + h_max)) integer steps in all with the loop over the
     variables in C; e_j(x) = E_j[n] / D^j and h_j(x) = H_j[n] / D^j.
     """
-    # s_i = p_i / q_i in lowest terms, so x_i = p_i^2 / q_i^2 is too, and
-    # D = lcm(q_i)^2 with X_i = (p_i * (lcm(q_i) // q_i))^2 needs no Fraction
-    ratios = [v.as_integer_ratio() for v in profile.values]
-    root = math.lcm(*(q for _, q in ratios))
-    xs = [(p * (root // q)) ** 2 for p, q in ratios]
+    xs = [p * p for p in profile.numerators]
     e, h = [1], [1]
     column = [1] * (len(xs) + 1)  # E_0[m], m = 0..n
     for _ in range(e_max):
@@ -586,7 +585,7 @@ def _scaled_symmetric_sums(
     for _ in range(h_max):
         column = list(accumulate(map(mul, xs, column)))
         h.append(column[-1])
-    return e, h, root * root
+    return e, h, profile.denominator**2
 
 
 def _hook_sum(statistic: Statistic, k: int, profile: SingularProfile) -> Fraction:

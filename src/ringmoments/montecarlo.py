@@ -15,7 +15,8 @@ statistics only.  ``mc_entry_moment`` samples the Haar matrix itself.
 
 The only module of the package that imports numpy or reads a profile in
 floats: each sampling entry point builds ``float_view(profile)`` once, the
-rounded entries with b, a, M and m, and hands it down.
+profile's integer numerators each divided by its denominator, with b, a, M
+and m, and hands it down.
 
 Randomness discipline: every public entry point takes an integer seed and
 derives counter-based Philox streams via ``rng_stream(seed, index)``.  Work
@@ -105,7 +106,8 @@ class FloatView:
 
 
 def float_view(profile: SingularProfile) -> FloatView:
-    """The float view of ``profile``: x_i = float(s_i); M = max x and
+    """The float view of ``profile``: x_i = float(s_i), the correctly
+    rounded quotient of the i-th numerator by the denominator; M = max x and
     m = min x, which are float(profile.M) and float(profile.m) as rounding is
     monotone; b = sqrt(mean x_i^2) on the x_i scaled by the power of two
     just below M, and a = sqrt(n / sum x_i^(-2)) on them scaled by the power
@@ -116,7 +118,8 @@ def float_view(profile: SingularProfile) -> FloatView:
     range; a <= b then lies within it."""
     n = profile.n
     try:
-        x = [float(v) for v in profile.values]
+        denominator = profile.denominator
+        x = [p / denominator for p in profile.numerators]
         big, small = max(x), min(x)
         b = a = 0.0
         if big > 0:
@@ -318,10 +321,15 @@ def profile_records(
 
 
 def _spectrum_replication(
-    family: ProfileFamily, n: int, seed: int, stream_index: int
+    source: ProfileFamily | FloatView, n: int, seed: int, stream_index: int
 ) -> list[ExperimentRecord]:
+    """One replication on its own stream: a family is realized at n from
+    the stream first, and a float view is sampled as it is."""
     rng = rng_stream(seed, stream_index)
-    view = float_view(family.realize(n, rng))
+    if isinstance(source, FloatView):
+        view = source
+    else:
+        view = float_view(source.realize(n, rng))
     a_mat = sample_A_batch(view, 1, rng)[0]
     try:
         hi, lo = extreme_eigenvalues(a_mat)
@@ -336,16 +344,19 @@ def _spectrum_replication(
 
 
 def spectrum_records(
-    family: ProfileFamily,
+    source: ProfileFamily | FloatView,
     n_values: Sequence[int],
     replications: int,
     seed: int,
     jobs: int = 1,
 ) -> list[ExperimentRecord]:
-    """Extreme-eigenvalue records over an n-grid.
+    """Extreme-eigenvalue records over an n-grid.  A family is realized at
+    each n, and a float view is sampled as it is.
 
     Each (n, replication) pair owns stream index grid_position * replications
-    + replication, so the output is independent of ``jobs``.
+    + replication, so the output is independent of ``jobs``.  More than one
+    task and ``jobs`` run in a pool of min(jobs, tasks) processes, and a
+    single worker runs them in this process.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -353,9 +364,10 @@ def spectrum_records(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ns = [n for n in n_values for _ in range(replications)]
     # the task columns; the stream index is the task's position
-    columns = (repeat(family), ns, repeat(seed), range(len(ns)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    columns = (repeat(source), ns, repeat(seed), range(len(ns)))
+    workers = min(jobs, len(ns))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_spectrum_replication, *columns))
     else:
         chunks = list(map(_spectrum_replication, *columns))
@@ -455,9 +467,7 @@ def tail_experiment(
         raise ValueError(f"deltas must be a nonempty list, got {list(deltas)}")
     view = float_view(profile)  # rejected before any replication runs
     # grid position 0, so replication rep owns stream index rep
-    records = spectrum_records(
-        _FixedProfileFamily(profile), [profile.n], replications, seed, jobs
-    )
+    records = spectrum_records(view, [profile.n], replications, seed, jobs)
     radii = [r.value for r in records if r.stat == "spectral_radius"]
     minima = [r.value for r in records if r.stat == "min_modulus"]
     points = [
@@ -469,17 +479,6 @@ def tail_experiment(
         for delta in deltas
     ]
     return records, points
-
-
-@dataclass(frozen=True)
-class _FixedProfileFamily:
-    """Internal family that realizes one fixed profile.  ``tail_experiment``
-    asks only for ``profile.n``, so the dimension and the rng go unread."""
-
-    profile: SingularProfile
-
-    def realize(self, n: int, rng: np.random.Generator) -> SingularProfile:
-        return self.profile
 
 
 def write_records_csv(records: Iterable, path: str) -> None:

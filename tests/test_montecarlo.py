@@ -226,6 +226,16 @@ class TestFloatView:
         view = float_view(SingularProfile((Fraction("1e-160"), 1)))
         assert view.a == pytest.approx(1.4142135623730950e-160, rel=1e-15)
 
+    def test_entries_are_the_rounded_fractions(self):
+        # numerator / denominator is correctly rounded, as float(Fraction) is
+        for profile in (
+            SingularProfile.uniform_grid(Fraction(1, 2), 4, 1001),
+            SingularProfile((Fraction("0.3"), Fraction(1, 3), 7, Fraction(2, 7), 5)),
+            SingularProfile((Fraction(1, 3 * 10**330), Fraction(10**300, 7), 0.1)),
+        ):
+            x = float_view(profile).values.tolist()
+            assert x == [float(v) for v in profile.values]
+
     def test_huge_entries_keep_b(self):
         # b2 = (10^400 + 1) / 2 lies beyond the float range, b does not
         for values in ((Fraction(10**200), 1), (1e200, 1.0)):
@@ -287,9 +297,9 @@ class TestFloatView:
         estimate_trace_moment(2, SingularProfile.constant(1, 3), montecarlo._BATCH + 1, 0)
         assert calls == [3]
         calls.clear()
-        # one view for the early reject and b, a; one per replication
+        # one view for the early reject, b and a, and every replication
         tail_experiment(SingularProfile.uniform_grid(0.5, 2.0, 5), [0.1], 2, seed=0)
-        assert calls == [5] * 3
+        assert calls == [5]
 
 
 class TestRngStreams:
@@ -461,6 +471,36 @@ class TestSpectrumRecords:
         parallel = spectrum_records(fam, [4, 6], replications=4, seed=8, jobs=2)
         assert serial == parallel
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        fam = ProfileFamily("uniform-random", 0.5, 2.0)
+        serial = spectrum_records(fam, [4], replications=2, seed=8)
+        assert spectrum_records(fam, [4], replications=2, seed=8, jobs=64) == serial
+        assert sizes == [2]
+        # a single task takes the serial path at any jobs
+        spectrum_records(fam, [4], replications=1, seed=8, jobs=64)
+        assert sizes == [2]
+        profile = SingularProfile.uniform_grid(0.5, 2.0, 4)
+        tail_experiment(profile, [0.1], replications=3, seed=0, jobs=64)
+        assert sizes == [2, 3]
+
     def test_deviation_consistency(self):
         # rows arrive four per replication: radius, min, then both deviations
         fam = ProfileFamily("uniform-random", 0.5, 2.0)
@@ -569,6 +609,12 @@ class TestTailExperiment:
         profile = SingularProfile.uniform_grid(0.5, 2.0, 8)
         with pytest.raises(ValueError):
             tail_experiment(profile, [0.1], replications=0, seed=0)
+
+    def test_jobs_do_not_change_output(self):
+        profile = SingularProfile.uniform_grid(0.5, 2.0, 6)
+        serial = tail_experiment(profile, [0.0, 0.1], replications=4, seed=8, jobs=1)
+        parallel = tail_experiment(profile, [0.0, 0.1], replications=4, seed=8, jobs=2)
+        assert serial == parallel
 
     def test_empty_deltas_rejected_before_sampling(self, monkeypatch):
         def no_draw(*args):
