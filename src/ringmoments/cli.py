@@ -2,7 +2,8 @@
 
 Commands: wg, entry-moment, exact-moment, verify-lemmas, mc-moment,
 spectrum-experiment.  Exit codes: 0 on success, 1 when a computation or an
-internal cross-check fails, 2 on usage errors (argparse's convention).
+internal cross-check fails or memory runs out, 2 on usage errors (argparse's
+convention).
 
 Profiles are given as one of
   * an inline comma list of rationals:        1,2,3  or  0.5,2,7/2
@@ -13,7 +14,9 @@ Output files land in --out when given, else in $RINGMOMENTS_OUTPUT_DIR, else
 in the working directory.  A missing output directory is created when the
 first file is written, so a run rejected before that leaves nothing behind.
 One that cannot be made, because it or an existing ancestor is not a
-directory, is a usage error before anything is computed.
+directory, is a usage error before anything is computed.  The mc-moment
+--output name may carry directories of its own, made and checked the same
+way; naming an existing directory is a usage error too.
 """
 
 from __future__ import annotations
@@ -88,12 +91,19 @@ def _output_dir(args) -> Path:
     return Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _check_output_dir(args) -> None:
+def _check_output_dir(args, name: str | None = None) -> None:
     """A usage error when the output directory cannot be made: it, or its
-    nearest existing ancestor, is not a directory.  Creates nothing, so a
-    run can check before it computes and still create the directory only
-    when it writes."""
+    nearest existing ancestor, is not a directory.  Given the name of an
+    output file, which may carry directories of its own, the directory
+    checked is the file's, and the name may not be an existing directory.
+    Creates nothing, so a run can check before it computes and still
+    create the directory only when it writes."""
     out = _output_dir(args)
+    if name is not None:
+        path = out / name
+        if path.is_dir():
+            raise ValueError(f"cannot write output file {str(path)!r}: it is a directory")
+        out = path.parent
     existing = next((p for p in (out, *out.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ValueError(f"cannot make output directory {str(out)!r}: "
@@ -104,9 +114,9 @@ def _output_path(args, name: str) -> Path:
     """The path of output file ``name``, creating its directory.  Called just
     before the file is written, so a run that fails first leaves no
     directory behind."""
-    out = _output_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    path = _output_dir(args) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -238,7 +248,7 @@ def _cmd_mc_moment(args) -> int:
     from . import montecarlo
     profile = parse_profile(args.profile)
     if args.output:
-        _check_output_dir(args)
+        _check_output_dir(args, args.output)
     est = montecarlo.estimate_trace_moment(
         args.k, profile, args.samples, args.seed, args.mode
     )
@@ -452,6 +462,11 @@ def main(argv=None) -> int:
     # CrossCheckError and montecarlo's EigensolverError are RuntimeErrors
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own is bare
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         # bad parameter values, malformed JSON (a ValueError) or unreadable

@@ -125,17 +125,18 @@ The two censuses are compared as integer vectors, which checks the
 derivations at every n at once.  A disagreement raises ``CrossCheckError``;
 it would mean the two derivations do not describe the same quantity, so no
 answer is returned in that case.  An inner average at dimension n is then
-the census weighed by the degree-k Weingarten table at n, which is defined
-at every n >= 1, below the degree too.
+the census weighed by the degree-k Weingarten table at n
+(``ClassTable.weigh``), which is defined at every n >= 1, below the degree
+too.
 
 Folding the n^k outer sum over equality patterns gives
 sum_lam aut(lam) S_lam(n) m_lam(x) over partitions lam of k with at most n
 parts, with S_lam(n) the sum of the inner averages of the patterns whose
 block sizes form lam.  ``_certify`` checks, once per (statistic, k, n), at
-every n inside the census orders (uu k <= MAX_UU_ORDER, sq k <= MAX_SQ_ORDER),
-that this is the hook sum coefficient by coefficient in the monomial basis,
-which proves the two derivations the same polynomial in x for every profile
-of length n.  A mismatch raises ``CrossCheckError``.
+every n inside the census orders (``_CENSUS_ORDERS``), that this is the
+hook sum coefficient by coefficient in the monomial basis, which proves the
+two derivations the same polynomial in x for every profile of length n.
+A mismatch raises ``CrossCheckError``.
 
 The counting chain
 ------------------
@@ -165,7 +166,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
-from .haar_moments import census_value, word_census
+from .haar_moments import word_census
 from .permutations import (
     Permutation,
     compose_images,
@@ -178,10 +179,11 @@ from .profiles import SingularProfile
 from .weingarten import wg_class_table
 
 # The census orders: the hook sums are certified against the Weingarten
-# census up to these orders.  The uu inner average has word length k-1, the
-# sq one word length k; larger orders are served without a census.
+# census at these orders.  The uu inner average has word length k-1, the sq
+# one word length k; other orders are served without a census.
 MAX_UU_ORDER = 6
 MAX_SQ_ORDER = 5
+_CENSUS_ORDERS = {"uu": range(2, MAX_UU_ORDER + 1), "sq": range(1, MAX_SQ_ORDER + 1)}
 # The exhaustive counting lemma runs over (k-2)! reorderings per alpha.
 MAX_COUNTING_ORDER = 7
 
@@ -254,12 +256,12 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
         return word, word[1:] + word[:1]
 
     rows, cols = ends(pattern)
-    census: dict[tuple[int, ...], int] = {}
+    census: Counter = Counter()
     for p in young_subgroup_images(universe, fine=stab):
         permuted = compose_images(pattern, invert_images(p))
         for lam, count in word_census(rows, cols, *ends(permuted)):
-            census[lam] = census.get(lam, 0) + count
-    return Counter(census)
+            census[lam] += count
+    return census
 
 
 @lru_cache(maxsize=None)
@@ -336,14 +338,14 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     stab = young_subgroup_images(_young_labels(statistic, pattern))
     inverses = [invert_images(alpha) for alpha in stab]
     betas = Counter(beta for tail in c_dressed for beta in composites(inverses, tail))
-    census: dict[tuple[int, ...], int] = {}
+    census: Counter = Counter()
     for beta, multiplicity in betas.items():
         folded = _folded_census(statistic, k, beta)
         if folded is None:
             raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
         for lam, count in folded:
-            census[lam] = census.get(lam, 0) + multiplicity * count
-    return Counter(census)
+            census[lam] += multiplicity * count
+    return census
 
 
 def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
@@ -389,14 +391,13 @@ def _inner_paths(
     Weingarten table at n, of degree k-1 for uu and k for sq."""
     pattern = _index_pattern(indices, n)
     k = len(pattern)
-    if statistic == "uu" and k < 2:
-        raise ValueError("uu inner average needs word length k >= 2")
-    ceiling = MAX_UU_ORDER if statistic == "uu" else MAX_SQ_ORDER
-    if k > ceiling:
-        raise ValueError(f"order {k} above supported ceiling {ceiling}")
+    orders = _CENSUS_ORDERS[statistic]
+    if k > orders[-1]:
+        raise ValueError(f"order {k} above supported ceiling {orders[-1]}")
+    # route_censuses refuses a uu order below the range (no endpoint-fixing subgroup)
     census_a, census_b = route_censuses(statistic, pattern)
     table = wg_class_table(k - 1 if statistic == "uu" else k, n)
-    return census_value(census_a, table), census_value(census_b, table)
+    return table.weigh(census_a.items()), table.weigh(census_b.items())
 
 
 def _inner_average(statistic: Statistic, indices: Sequence[int], n: int) -> Fraction:
@@ -523,19 +524,14 @@ def _certify(statistic: Statistic, k: int, n: int) -> tuple[tuple[int, ...], int
     h_{k-b} e_b is C(l(lam), b), whatever the parts of lam, and
     C(l, r) - C(l - 1, r - 1) = C(l - 1, r).
 
-    The check runs inside the census orders (uu: 2 <= k <= MAX_UU_ORDER;
-    sq: k <= MAX_SQ_ORDER) at every n >= 1; beyond them the coefficients
-    are returned unchecked.  A mismatch raises ``CrossCheckError``.
+    The check runs inside the census orders (``_CENSUS_ORDERS``) at every
+    n >= 1; beyond them the coefficients are returned unchecked.  A
+    mismatch raises ``CrossCheckError``.
     """
     numerators, denominator = _hook_coefficients(statistic, k, n)
-    if statistic == "uu":
-        if not 2 <= k <= MAX_UU_ORDER:
-            return numerators, denominator
-        inner = f_i
-    else:
-        if k > MAX_SQ_ORDER:
-            return numerators, denominator
-        inner = g_i
+    if k not in _CENSUS_ORDERS[statistic]:
+        return numerators, denominator
+    inner = f_i if statistic == "uu" else g_i
     groups: dict[tuple[int, ...], Fraction] = {}
     for pattern in equality_patterns(k):
         blocks = max(pattern)

@@ -14,8 +14,9 @@ words (row or column multisets that disagree) average to zero.
 
 The matching pairs are counted by the cycle type of sigma^-1 * tau
 (``word_census``); that census depends on the index equalities alone, and
-the moment is the census weighed by the table at n, one integer dot
-product over the table's common denominator (``census_value``).
+the moment is the census weighed by the table at n
+(``weingarten.ClassTable.weigh``), one integer dot product over the
+table's common denominator.
 
 The matchings are cosets.  With sigma_0 one row matching and Y the Young
 subgroup of the permutations that preserve the conj_rows values, the row
@@ -52,14 +53,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .permutations import (
     compose_images,
     cycle_types_of_products,
     young_subgroup_images,
 )
-from .weingarten import ClassTable, wg_class_table
+from .weingarten import wg_class_table
 
 # The census enumerates |Y| |Z| / |Y n Z| products (see the module
 # docstring), at most k! of them: 40320 for a word of length 8 with every
@@ -163,14 +164,6 @@ def _word_census(
     return tuple((lam, count * weight) for lam, count in Counter(types).items())
 
 
-def census_value(census: Mapping[tuple[int, ...], int], table: ClassTable) -> Fraction:
-    """sum over the census of multiplicity * Weingarten value of the type,
-    as one integer dot product over the table's common denominator."""
-    numerators = table.numerators
-    total = sum(count * numerators[lam] for lam, count in census.items())
-    return Fraction(total, table.denominator)
-
-
 def entry_moment(spec: MomentSpec) -> Fraction:
     """Exact Haar average of the word described by ``spec``: its
     ``word_census`` weighed by the Weingarten table of degree k at dimension
@@ -188,4 +181,4 @@ def entry_moment(spec: MomentSpec) -> Fraction:
     census = word_census(spec.rows, spec.cols, spec.conj_rows, spec.conj_cols)
     if not census:
         return Fraction(0)
-    return census_value(dict(census), wg_class_table(spec.k, spec.n))
+    return wg_class_table(spec.k, spec.n).weigh(census)

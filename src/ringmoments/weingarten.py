@@ -14,7 +14,9 @@ every class mu, by Murnaghan-Nakayama.  From it:
 
   defined for every k >= 1 and n >= 1.  Below the degree the shapes with
   more than n rows drop out, which is exactly what the entry moments of an
-  n-dimensional Haar unitary need.
+  n-dimensional Haar unitary need.  The table weighs a census of cycle
+  types, such as an entry moment's, as one integer dot product
+  (``ClassTable.weigh``).
 * ``monotone_counts`` / ``wg_series``: the alternating series
   n^-k * sum_r (-1)^r c_r(mu) / n^r, where c_r counts the weakly monotone
   transposition words of length r with product of type mu.  They are the
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .permutations import Permutation
 
@@ -143,13 +145,19 @@ def wg_character_table(k: int) -> tuple[Irrep, ...]:
 
 class ClassTable(dict):
     """Weingarten values by cycle type, mu -> Fraction, that also keep the
-    integer numerators of the values over their common denominator, so a
-    weighed sum of values is one integer dot product and one Fraction."""
+    integer numerators of the values over their common denominator, so
+    ``weigh`` turns a census into one integer dot product and one Fraction."""
 
     def __init__(self, numerators: dict[tuple[int, ...], int], denominator: int):
         super().__init__((mu, Fraction(a, denominator)) for mu, a in numerators.items())
         self.numerators = numerators
         self.denominator = denominator
+
+    def weigh(self, census: Iterable[tuple[tuple[int, ...], int]]) -> Fraction:
+        """sum of count * wg(mu) over the census's (cycle type mu, count)
+        pairs, as one integer dot product over the common denominator."""
+        numerators = self.numerators
+        return Fraction(sum(count * numerators[mu] for mu, count in census), self.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +174,8 @@ def wg_class_table(k: int, n: int) -> ClassTable:
     solution, which Haar entry moments at dimension n use.
 
     The numerators over the lcm of the per-shape denominators are kept
-    beside the values (``ClassTable``).  Safe for concurrent reads once
-    built; memoized per (k, n).
+    beside the values, for ``ClassTable.weigh``.  Safe for concurrent reads
+    once built; memoized per (k, n).
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")

@@ -1,6 +1,7 @@
 """Command-line interface: grammar, outputs, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -505,6 +506,50 @@ class TestMcMomentCommand:
         assert "is not a directory" in err
         assert afile.read_text() == ""
 
+    def test_output_with_a_directory_part_is_created(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "mc-moment",
+            "--k", "1", "--profile", "1,2",
+            "--samples", "100", "--seed", "0",
+            "--output", str(Path("sub", "run.csv")), "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        assert err == ""
+        assert (tmp_path / "sub" / "run.csv").read_text().startswith("n,k,seed,stat,")
+        assert f"wrote {tmp_path / 'sub' / 'run.csv'}" in out
+
+    def test_output_under_a_file_in_its_own_path_exits_two(self, capsys, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run(
+            capsys,
+            "mc-moment",
+            "--k", "1", "--profile", "1,2",
+            "--samples", "100", "--seed", "0",
+            "--output", str(Path("afile", "sub", "run.csv")), "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "is not a directory" in err
+        assert afile.read_text() == ""
+
+    def test_output_naming_a_directory_exits_two(self, capsys, tmp_path):
+        (tmp_path / "taken").mkdir()
+        code, out, err = run(
+            capsys,
+            "mc-moment",
+            "--k", "1", "--profile", "1,2",
+            "--samples", "100", "--seed", "0",
+            "--output", "taken", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "is a directory" in err
+        assert list((tmp_path / "taken").iterdir()) == []
+
     def test_profile_beyond_floats_exits_two_before_the_estimate(self, capsys, tmp_path):
         out_dir = tmp_path / "new"
         code, out, err = run(
@@ -867,6 +912,37 @@ class TestReadmeConfigs:
         assert code == 0, err
         assert (tmp_path / "tail_records.csv").exists()
         assert (tmp_path / "tail_curve.csv").exists()
+
+
+NUMPY_MEMORY_MESSAGE = (
+    "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+    "and data type float64"
+)
+
+
+class TestOutOfMemory:
+    """A MemoryError exits 1 with one line; the callee is patched to raise
+    it, so nothing is allocated."""
+
+    @pytest.mark.parametrize("module, callee, message, argv", [
+        ("cli", "wg_series", "",
+         ["wg", "--k", "2", "--n", "3", "--r-max", "100000000000"]),
+        ("montecarlo", "estimate_trace_moment", NUMPY_MEMORY_MESSAGE,
+         ["mc-moment", "--k", "1", "--profile", "1", "--samples", "10000000000000"]),
+        ("montecarlo", "mc_entry_moment", NUMPY_MEMORY_MESSAGE,
+         ["entry-moment", "--n", "2", "--rows", "1", "--cols", "1", "--conj-rows", "1",
+          "--conj-cols", "1", "--mc-samples", "10000000000000"]),
+    ], ids=["wg", "mc-moment", "entry-moment"])
+    def test_one_line_exit_one(self, capsys, monkeypatch, module, callee, message, argv):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        target = importlib.import_module(f"ringmoments.{module}")
+        monkeypatch.setattr(target, callee, out_of_memory)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: out of memory: {message}\n" if message
+                       else "error: out of memory\n")
 
 
 class TestProcessLevel:

@@ -35,7 +35,7 @@ from ringmoments.exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from ringmoments.haar_moments import MomentSpec, census_value, entry_moment
+from ringmoments.haar_moments import MomentSpec, entry_moment
 from ringmoments.montecarlo import estimate_trace_moment
 from ringmoments.permutations import Permutation, enumerate_sk0, young_subgroup_images
 from ringmoments.profiles import SingularProfile
@@ -322,12 +322,11 @@ class TestRouteCensuses:
             route_censuses("xx", (1, 2))
 
     def test_paths_are_census_dot_table(self):
-        from ringmoments.haar_moments import census_value
         from ringmoments.weingarten import wg_class_table
 
         for indices, n in (((2, 7, 2, 4), 8), ((3, 3, 1), 3)):
             census_a, _ = route_censuses("uu", exact_moments._index_pattern(indices, n))
-            expect = census_value(census_a, wg_class_table(len(indices) - 1, n))
+            expect = wg_class_table(len(indices) - 1, n).weigh(census_a.items())
             assert f_paths(indices, n) == (expect, expect)
 
     def test_relabelled_indices_share_the_pattern_value(self):
@@ -570,7 +569,7 @@ class TestHookSums:
                         sizes = [pattern.count(b) for b in range(1, max(pattern) + 1)]
                         lam = tuple(sorted(sizes, reverse=True))
                         census, _ = route_censuses(statistic, pattern)
-                        groups[lam] = groups.get(lam, 0) + census_value(census, table)
+                        groups[lam] = groups.get(lam, 0) + table.weigh(census.items())
                     nums, den = exact_moments._hook_coefficients(statistic, k, n)
                     for lam, total in groups.items():
                         aut = math.prod(math.factorial(m) for m in Counter(lam).values())

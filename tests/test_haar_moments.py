@@ -18,7 +18,6 @@ from ringmoments import exact_moments, haar_moments
 from ringmoments.haar_moments import (
     MAX_WORD_LENGTH,
     MomentSpec,
-    census_value,
     entry_moment,
     word_census,
 )
@@ -132,7 +131,7 @@ class TestEntryCensus:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_moment_is_census_dot_table(self, n):
         spec = MomentSpec(n, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
-        assert entry_moment(spec) == census_value(census_of(spec), wg_class_table(3, n))
+        assert entry_moment(spec) == wg_class_table(3, n).weigh(census_of(spec).items())
 
 
     def test_integer_value_is_the_fraction_sum(self):
@@ -148,7 +147,7 @@ class TestEntryCensus:
                     expect = sum(
                         (count * table[lam] for lam, count in census.items()), Fraction(0)
                     )
-                    value = census_value(census, table)
+                    value = table.weigh(census.items())
                     assert (value.numerator, value.denominator) == (
                         expect.numerator,
                         expect.denominator,

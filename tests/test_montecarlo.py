@@ -471,6 +471,12 @@ class TestSpectrumRecords:
         parallel = spectrum_records(fam, [4, 6], replications=4, seed=8, jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        fam = ProfileFamily("constant", 1.0)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            spectrum_records(fam, [4], replications=1, seed=0, jobs=jobs)
+
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         sizes = []
 
@@ -626,9 +632,9 @@ class TestTailExperiment:
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
-        fam = ProfileFamily("constant", 1.0)
+        profile = SingularProfile.uniform_grid(0.5, 2.0, 4)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            spectrum_records(fam, [4], replications=1, seed=0, jobs=jobs)
+            tail_experiment(profile, [0.1], replications=1, seed=0, jobs=jobs)
 
 
 class TestRecordIO:
