@@ -2,8 +2,9 @@
 
 Commands: wg, entry-moment, exact-moment, verify-lemmas, mc-moment,
 spectrum-experiment.  Exit codes: 0 on success, 1 when a computation or an
-internal cross-check fails or memory runs out, 2 on usage errors (argparse's
-convention).
+internal cross-check fails, memory runs out or stdout is closed early (the
+last silently), 2 on usage errors (argparse's convention).  Exact values
+print in full, past Python's cap on int-to-string digits.
 
 Profiles are given as one of
   * an inline comma list of rationals:        1,2,3  or  0.5,2,7/2
@@ -457,8 +458,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values print in full: lift Python's cap on the digits of an
+    # int-to-string conversion for the command, and restore the caller's
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, with stdout pointed at
+        # the null device so the exit-time flush has nothing to report
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # a stdout without a file descriptor
+            pass
+        return 1
     # CrossCheckError and montecarlo's EigensolverError are RuntimeErrors
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -473,6 +491,9 @@ def main(argv=None) -> int:
         # inputs are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -650,8 +650,8 @@ def theorem_bound(
         raise ValueError("epsilon must lie strictly between 0 and 2")
     n = profile.n
     # first, so an order below 1 is rejected before core ** k can divide by 0
-    exact = trace_moment_uu(k, profile) if mode == "uu" else trace_moment_sq(k, profile)
-    core = (profile.b2 + Fraction(k) * profile.M * profile.M / n) ** k
+    exact = _hook_sum(mode, k, profile)
+    core = (profile.b2 + Fraction(k) * profile.M**2 / n) ** k
     if mode == "uu":
         core = n * k * k * core
     ratio = exact / core if core != 0 else None
@@ -739,34 +739,25 @@ def composition_census(k: int, profile: SingularProfile) -> CensusReport:
     if k < 2:
         raise ValueError("census needs k >= 2")
     n = profile.n
-    b2 = profile.b2
-    m2 = profile.M * profile.M
+    m2 = profile.M**2
     e, h, scale = _scaled_symmetric_sums(profile, min(k, n), k)
     # closed forms, see the module docstring; e_j(x) = e[j] / scale^j and
-    # likewise for h
-    l0 = Fraction(h[1] ** 2 * math.factorial(k - 2) * h[k - 2], scale**k)
+    # likewise for h, so p_1(x) = n b^2 = h_1(x)
+    p1 = Fraction(h[1], scale)
+    l0 = p1**2 * Fraction(math.factorial(k - 2) * h[k - 2], scale ** (k - 2))
     l1 = Fraction(math.factorial(k) * h[k], scale**k)
 
     l2 = Fraction(0)
     l3 = Fraction(0)
     l4 = Fraction(0)
     for p in range(1, k + 1):
-        lead = m2 ** (k - p)
-        compositions = math.comb(k - 1, p - 1)
+        # M^2 per peeled factor, compositions of k into p parts, and k!
+        weight = m2 ** (k - p) * math.comb(k - 1, p - 1) * math.factorial(k)
         if p <= n:
-            l2 += lead * Fraction(e[p], scale**p) * compositions * math.factorial(k)
-        l3 += (
-            lead
-            * (n * b2) ** p
-            * Fraction(
-                math.factorial(k) * math.factorial(k - 1),
-                math.factorial(p)
-                * math.factorial(p - 1)
-                * math.factorial(k - p),
-            )
-        )
-        l4 += (Fraction(k) * m2) ** (k - p) * (n * b2) ** p * math.comb(k, p)
-    l5 = (n * b2 + k * m2) ** k
+            l2 += weight * Fraction(e[p], scale**p)
+        l3 += weight * p1**p / math.factorial(p)
+        l4 += (k * m2) ** (k - p) * p1**p * math.comb(k, p)
+    l5 = (p1 + k * m2) ** k
 
     links = (l0, l1, l2, l3, l4, l5)
     chain_ok = all(x <= y for x, y in zip(links, links[1:]))

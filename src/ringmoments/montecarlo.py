@@ -45,15 +45,9 @@ _BATCH_ENTRIES = 2**20
 
 
 class EigensolverError(RuntimeError):
-    """Eigensolver failed to converge; carries the stream that produced the
-    offending sample."""
-
-    def __init__(self, seed: int, stream_index: int):
-        super().__init__(
-            f"eigensolver did not converge (seed={seed}, stream={stream_index})"
-        )
-        self.seed = seed
-        self.stream_index = stream_index
+    """Eigensolver failed to converge.  The message, which names the seed
+    and the stream of the offending sample, is all the error holds, so it
+    pickles and a process pool reports the serial path's line."""
 
 
 class OverflowGuardError(RuntimeError):
@@ -334,7 +328,9 @@ def _spectrum_replication(
     try:
         hi, lo = extreme_eigenvalues(a_mat)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(seed, stream_index) from exc
+        raise EigensolverError(
+            f"eigensolver did not converge (seed={seed}, stream={stream_index})"
+        ) from exc
     return profile_records(view, 1, seed, (
         ("spectral_radius", hi),
         ("min_modulus", lo),

@@ -250,6 +250,13 @@ class WeingartenValue:
     exact: Fraction
 
 
+def _geometric_tail(k: int, n: int, m: int) -> Fraction | None:
+    """(2 / (n^k k^2)) x^m / (1 - x) with x = k^2 / (2n), the geometric
+    majorant of |wg| summed from order m on; None when k^2 >= 2n."""
+    x = Fraction(k * k, 2 * n)
+    return Fraction(2, n**k * k * k) * x**m / (1 - x) if x < 1 else None
+
+
 def wg_series(
     k: int, n: int, pi: Permutation, r_max: int | None = None
 ) -> WeingartenValue:
@@ -257,9 +264,8 @@ def wg_series(
 
     series_partial = n^-k * sum_{r=0}^{r_max} (-1)^r c_r(pi) / n^r with c_r
     the weakly monotone transposition word count (``monotone_counts``).  The
-    discarded tail obeys
-    |tail| <= (2 / (n^k k^2)) * x^(r_max + 1) / (1 - x) with x = k^2 / (2n),
-    finite exactly when k^2 < 2n.
+    discarded tail is at most ``_geometric_tail(k, n, r_max + 1)``, finite
+    exactly when k^2 < 2n.
 
     >>> v = wg_series(2, 10, Permutation((2, 1)), r_max=3)
     >>> v.series_partial
@@ -278,13 +284,8 @@ def wg_series(
         sum((-1) ** r * c * n ** (r_max - r) for r, c in enumerate(counts)),
         n ** (k + r_max),
     )
-    tail: Fraction | None = None
-    x = Fraction(k * k, 2 * n)
-    if k == 1:
-        # no transpositions exist: the series terminates at r = 0
-        tail = Fraction(0)
-    elif x < 1:
-        tail = Fraction(2, n**k * k * k) * x ** (r_max + 1) / (1 - x)
+    # no transpositions exist at k = 1: the series terminates at r = 0
+    tail = Fraction(0) if k == 1 else _geometric_tail(k, n, r_max + 1)
     return WeingartenValue(k, n, pi, partial, r_max, tail, wg_exact(k, n, pi))
 
 
@@ -317,9 +318,7 @@ def wg_bound(k: int, n: int, pi: Permutation) -> WgBound:
             / (1 - Fraction(k**4, 4 * n * n))
         )
         return WgBound(k, n, d, value, "identity")
-    x = Fraction(k * k, 2 * n)
-    value = Fraction(2, n**k * k * k) * x**d / (1 - x)
-    return WgBound(k, n, d, value, "non-identity")
+    return WgBound(k, n, d, _geometric_tail(k, n, d), "non-identity")
 
 
 @dataclass(frozen=True)

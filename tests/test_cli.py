@@ -1,5 +1,6 @@
 """Command-line interface: grammar, outputs, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -16,7 +17,10 @@ import pytest
 
 from ringmoments import cli
 from ringmoments.cli import FAMILY_KEYS, RADIUS_RATE_KEYS, TAIL_KEYS, main, parse_profile
+from ringmoments.exact_moments import composition_census, theorem_bound
+from ringmoments.permutations import Permutation
 from ringmoments.profiles import SingularProfile
+from ringmoments.weingarten import wg_series
 
 
 def run(capsys, *argv):
@@ -689,7 +693,10 @@ class TestSpectrumExperimentCommand:
         err = self._usage_error(capsys, tmp_path, payload)
         assert "family must be a JSON object" in err
 
-    def test_eigensolver_failure_exits_one(self, capsys, tmp_path, monkeypatch):
+    # at --jobs 2 the replications run in a pool whose forked workers
+    # inherit the patch, and the failing stream's error comes back pickled
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_eigensolver_failure_exits_one(self, capsys, tmp_path, monkeypatch, jobs):
         from ringmoments import montecarlo
 
         def failing(a):
@@ -703,7 +710,7 @@ class TestSpectrumExperimentCommand:
         code, out, err = run(
             capsys,
             "spectrum-experiment", "--config", str(config),
-            "--out", str(tmp_path / "out"), "--jobs", "1",
+            "--out", str(tmp_path / "out"), "--jobs", jobs,
         )
         assert code == 1
         assert out == ""
@@ -945,6 +952,64 @@ class TestOutOfMemory:
                        else "error: out of memory\n")
 
 
+def _digit_limit():
+    """Python's cap on int-to-string digits, or None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def _lifted_digit_limit():
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestFullDigits:
+    """Values past the 4300-digit cap on int-to-string conversion print in
+    full, and the in-process caller keeps its own cap."""
+
+    def _expect(self, capsys, argv, texts):
+        """Run argv, then check that each (format, values) text appears in
+        its output, formatted under a lifted cap."""
+        limit = _digit_limit()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert _digit_limit() == limit
+        with _lifted_digit_limit():
+            expected = [text.format(*values) for text, values in texts]
+        assert max(map(len, expected)) > 4300
+        for text in expected:
+            assert text in out
+
+    def test_exact_moment(self, capsys):
+        report = theorem_bound(2000, parse_profile("1,2"))
+        self._expect(capsys, ["exact-moment", "--k", "2000", "--profile", "1,2"], [
+            ("exact moment = {}\n", [report.exact_moment]),
+            ("bound core = {}\n", [report.bound_core]),
+            ("ratio = {}  (float ", [report.ratio]),
+        ])
+
+    def test_census(self, capsys):
+        profile = "uniform:1/2:4:64"
+        census = composition_census(900, parse_profile(profile))
+        self._expect(capsys, ["exact-moment", "--k", "900", "--profile", profile, "--census"], [
+            *((f"census L{i} = {{}}\n", [link]) for i, link in enumerate(census.links)),
+            ("census envelope value = {}\n", [census.value]),
+        ])
+
+    def test_wg_series(self, capsys):
+        series = wg_series(2, 3, Permutation.from_cycle_string("id", 2), 10000)
+        self._expect(capsys, ["wg", "--k", "2", "--n", "3", "--r-max", "10000"], [
+            ("series partial (r_max=10000) = {}\n", [series.series_partial]),
+            ("series tail bound = {}\n", [series.tail_bound]),
+        ])
+
+
 class TestProcessLevel:
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -970,6 +1035,18 @@ class TestProcessLevel:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
+
+    def test_closed_stdout_exits_one_quietly(self):
+        # the output is many pipe buffers long, so the command is still
+        # writing when the reader closes its end
+        with subprocess.Popen(
+            [sys.executable, "-m", "ringmoments", "verify-lemmas", "--k", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("counting check at k = 7")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (1, "")
 
     def test_module_runs_byte_identical(self, tmp_path):
         argv = [

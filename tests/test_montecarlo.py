@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -530,9 +531,17 @@ class TestSpectrumRecords:
             return extreme_eigenvalues(a)
 
         monkeypatch.setattr(montecarlo, "extreme_eigenvalues", failing)
-        with pytest.raises(EigensolverError, match=r"seed=5, stream=1\)") as excinfo:
+        with pytest.raises(EigensolverError, match=r"seed=5, stream=1\)"):
             spectrum_records(ProfileFamily("constant", 1.0), [4], 3, seed=5)
-        assert (excinfo.value.seed, excinfo.value.stream_index) == (5, 1)
+
+    @pytest.mark.parametrize("error, message", [
+        (EigensolverError, "eigensolver did not converge (seed=5, stream=1)"),
+        (OverflowGuardError, "matrix power overflowed at exponent <= 3"),
+    ])
+    def test_errors_survive_a_pickle_round_trip(self, error, message):
+        # a process pool hands a worker's error back to the parent pickled
+        copy = pickle.loads(pickle.dumps(error(message)))
+        assert (type(copy), str(copy)) == (error, message)
 
     def test_records_carry_the_profile(self):
         view = float_view(SingularProfile.from_values([Fraction(1, 2), 2, 3]))
