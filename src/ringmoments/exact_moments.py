@@ -103,23 +103,29 @@ of the index tuple, never on n or on the profile.  ``route_censuses``
 compiles that integer census once per (statistic, pattern), along two
 independent routes:
 
-* route A counts the matching pairs of the entry moments of representatives
-  of index reorderings that leave the tuple fixed (one representative per
-  stabilizer coset, the cosets enumerated as Young-subgroup representatives
-  by ``permutations.young_subgroup_images``), each census counted per coset
-  of the matchings, built once per canonical form of the word and summed
-  as integers (``haar_moments.word_census``),
+* route A counts the matching pairs of the entry moments of the word pairs
+  that the index reorderings make of the tuple: one word per stabilizer
+  coset, that is one per distinct rearrangement of the tuple
+  (``_rearrangements``).  A word's census depends on its conjugated factors
+  only through their sorted (row, column) pairs, so the rearrangements are
+  tallied per such side, once per set of letters (``_rearranged_sides``),
+  and each side's census, counted per coset of the matchings and built
+  once per canonical form of the word (``haar_moments.side_census``), is
+  looked up once per pattern and summed as integers times its tally,
 * route B pushes the delta constraints through the Weingarten sum and counts
   the conjugation-and-transposition dressed words
   w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
   stabilizer element, d the dressing, phi a reordering).  Cycle type is a
   class function, and conjugating by phi turns w into gamma * beta with
   gamma = phi c^-1 phi^-1 and beta = alpha^-1 c d.  The census of
-  gamma * beta over the pattern-free set of gamma is memoised per beta, and
-  a pattern's census is the sum over its multiset of beta.  The uu words
-  must fix the endpoint k; every uu reordering phi fixes k, so w fixes k
-  exactly when gamma * beta does, and the check on the conjugates is the
-  same check.  Route A never uses this fold.
+  gamma * beta over the pattern-free set of gamma is memoised; conjugating
+  beta by the universe permutes that set, so the census depends on beta
+  only through its conjugacy class in the universe, and a pattern's census
+  is the sum over its multiset of beta tallied by class
+  (``_class_representative``).  The uu words must fix the endpoint k;
+  every uu reordering phi fixes k, so w fixes k exactly when gamma * beta
+  does, and the check on the conjugates is the same check.  Route A never
+  uses this fold.
 
 The two censuses are compared as integer vectors, which checks the
 derivations at every n at once.  A disagreement raises ``CrossCheckError``;
@@ -161,12 +167,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain, permutations
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
-from .haar_moments import word_census
+from .haar_moments import Side, side_census, word_side
 from .permutations import (
     Permutation,
     compose_images,
@@ -225,43 +231,73 @@ def _young_labels(statistic: Statistic, labels: Sequence[int]) -> tuple[int, ...
     return (0,) + tuple(labels[1:-1]) + (-1,)
 
 
+def _least_rearrangement(statistic: Statistic, pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """The pattern with the entries of its movable positions sorted: every
+    position for sq, all but the two endpoints for uu.  Two patterns have
+    the same rearrangements (``_rearrangements``) exactly when they have the
+    same least one."""
+    _young_labels(statistic, pattern)  # rejects an unknown statistic or a uu word below degree 2
+    if statistic == "sq":
+        return tuple(sorted(pattern))
+    return pattern[:1] + tuple(sorted(pattern[1:-1])) + pattern[-1:]
+
+
+def _rearrangements(statistic: Statistic, word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct words w_{phi(1)} ... w_{phi(k)} over the reorderings phi
+    of the statistic's universe, one per coset stab * phi of the word's
+    stabilizer: every rearrangement for sq, and for uu those that keep both
+    endpoints in place.  No validation."""
+    if statistic == "sq":
+        return set(permutations(word))
+    return {word[:1] + middle + word[-1:] for middle in permutations(word[1:-1])}
+
+
+def _chain_side(statistic: Statistic, word: tuple[int, ...]) -> Side:
+    """The side (``word_side``) of the chain u[w_1, w_2] u[w_2, w_3] ...,
+    open for uu and closed cyclically for sq."""
+    return word_side(word, word[1:] if statistic == "uu" else word[1:] + word[:1])
+
+
+@lru_cache(maxsize=None)
+def _rearranged_sides(
+    statistic: Statistic, least: tuple[int, ...]
+) -> tuple[tuple[Side, int], ...]:
+    """The sides (``_chain_side``) of the rearrangements of ``least``
+    tallied: (side, number of rearrangements) over the distinct sides.
+    Memoised per least rearrangement, so the patterns with the same letters
+    share one tally."""
+    words = _rearrangements(statistic, least)
+    return tuple(Counter(_chain_side(statistic, w) for w in words).items())
+
+
 def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     """Route A: the entry censuses of one word pair per stabilizer coset.
 
-    The cosets stab * phi are enumerated as Young-subgroup representatives:
-    ``young_subgroup_images`` of the universe's labels, refined by the
-    pattern's, gives one p per left coset p stab, and phi = p^-1 runs over
-    one element of each right coset.  Each coset is one distinct
-    rearrangement of the pattern, the word i_{phi(1)} ... i_{phi(k)}.
+    Each coset stab * phi is one distinct rearrangement w of the pattern,
+    the word i_{phi(1)} ... i_{phi(k)} (``_rearrangements``).
 
-    uu: for each representative phi of the endpoint-fixing reorderings, the
-    word
+    uu: for each rearrangement w fixing both endpoints, the word
 
-        u[i_1, i_2] ... u[i_{k-1}, i_k]
-        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k-1)}, i_{phi(k)}]);
+        u[i_1, i_2] ... u[i_{k-1}, i_k] * conj(u[w_1, w_2]) ... conj(u[w_{k-1}, w_k]);
 
-    sq: for each representative phi of all reorderings, the cyclic word
+    sq: for each rearrangement w, the cyclic word
 
         u[i_1, i_2] u[i_2, i_3] ... u[i_k, i_1]
-        * conj(u[i_{phi(1)}, i_{phi(2)}]) ... conj(u[i_{phi(k)}, i_{phi(1)}]).
+        * conj(u[w_1, w_2]) ... conj(u[w_k, w_1]).
+
+    A word's census depends on its conjugated factors only through their
+    sorted (row, column) pairs, its side, so the rearrangements are tallied
+    per side (``_rearranged_sides``, shared by the patterns with the same
+    letters), and each side's census (``haar_moments.side_census``) is
+    looked up once and added as integers times its multiplicity.
     """
-    universe = _young_labels(statistic, (1,) * len(pattern))
-    stab = _young_labels(statistic, pattern)
-
-    def ends(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # row and column indices of u[w_1, w_2] u[w_2, w_3] ..., open for uu,
-        # closed cyclically for sq
-        if statistic == "uu":
-            return word[:-1], word[1:]
-        return word, word[1:] + word[:1]
-
-    rows, cols = ends(pattern)
-    census: Counter = Counter()
-    for p in young_subgroup_images(universe, fine=stab):
-        permuted = compose_images(pattern, invert_images(p))
-        for lam, count in word_census(rows, cols, *ends(permuted)):
-            census[lam] += count
-    return census
+    sides = _rearranged_sides(statistic, _least_rearrangement(statistic, pattern))
+    plain = _chain_side(statistic, pattern)
+    census: dict[tuple[int, ...], int] = {}
+    for conj, multiplicity in sides:
+        for lam, count in side_census(plain, conj):
+            census[lam] = census.get(lam, 0) + multiplicity * count
+    return Counter(census)
 
 
 @lru_cache(maxsize=None)
@@ -320,9 +356,14 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     gamma * beta with gamma = phi c^-1 phi^-1.  Only beta depends on the
     pattern, so the census is the sum over the multiset of beta of the
     memoised census of gamma * beta over the conjugates gamma
-    (``_folded_census``).  For uu every phi fixes k, so the word fixes k
-    exactly when gamma * beta does: the endpoint check on the conjugates is
-    the check on the words, and so is the restriction to {1..k-1}.
+    (``_folded_census``).  Conjugating beta by g in the universe maps that
+    census to the one of g^-1 gamma g * beta, and the conjugates are closed
+    under it, so the betas are tallied per conjugacy class
+    (``_class_representative``) and each class's census is looked up once.
+    For uu every phi fixes k, so the word fixes k exactly when gamma * beta
+    does: the endpoint check on the conjugates is the check on the words,
+    and so is the restriction to {1..k-1}; g fixes k too, so the check
+    holds for a whole class or for none of it.
     """
     k = len(pattern)
     if statistic == "sq":
@@ -336,16 +377,55 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
             if pattern[l2] == pattern[k - 1]
         ]
     stab = young_subgroup_images(_young_labels(statistic, pattern))
-    inverses = [invert_images(alpha) for alpha in stab]
-    betas = Counter(beta for tail in c_dressed for beta in composites(inverses, tail))
-    census: Counter = Counter()
-    for beta, multiplicity in betas.items():
+    # alpha^-1 runs over the group as alpha does
+    betas = chain.from_iterable(composites(stab, tail) for tail in c_dressed)
+    classes = Counter(map(partial(_class_representative, statistic), betas))
+    census: dict[tuple[int, ...], int] = {}
+    for beta, multiplicity in classes.items():
         folded = _folded_census(statistic, k, beta)
         if folded is None:
             raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
         for lam, count in folded:
-            census[lam] += multiplicity * count
-    return census
+            census[lam] = census.get(lam, 0) + multiplicity * count
+    return Counter(census)
+
+
+@lru_cache(maxsize=None)
+def _class_representative(statistic: Statistic, beta: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate of beta under the statistic's universe that names the
+    points in walk order, so that two betas get the same one exactly when
+    they are conjugate in the universe.
+
+    uu: the universe fixes 1 and k, so those keep their names, and the
+    other points are renamed 2, 3, ... along the walk from 1 until 1 or k,
+    then the walk from k until 1 or k, then the remaining cycles, longest
+    first.  sq: all of S_k, so every point is renamed 1, 2, ... along the
+    cycles, longest first.
+    """
+    k = len(beta)
+    marked = (1, k) if statistic == "uu" else ()
+    order = []
+    for end in marked:
+        x = beta[end - 1]
+        while x not in marked:
+            order.append(x)
+            x = beta[x - 1]
+    cycles, seen = [], set(marked).union(order)
+    for start in range(1, k + 1):
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = beta[x - 1]
+            cycles.append(cycle)
+    order += [x for cycle in sorted(cycles, key=len, reverse=True) for x in cycle]
+    name = {x: x for x in marked}
+    name.update(zip(order, range(2 if marked else 1, k + 1)))
+    images = [0] * k
+    for x, y in enumerate(beta, 1):
+        images[name[x] - 1] = name[y]
+    return tuple(images)
 
 
 def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
@@ -355,6 +435,7 @@ def _swap(k: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+@lru_cache(maxsize=None)
 def _dressed_cycle(k: int, l1: int, l2: int) -> tuple[int, ...]:
     """Images of c (l2 k-1) (1 l1), with c the full cycle 1 -> 2 -> ... -> k -> 1."""
     c = tuple(range(2, k + 1)) + (1,)
@@ -375,7 +456,8 @@ def route_censuses(
     """
     census_a = _route_a_census(statistic, pattern)
     census_b = _route_b_census(statistic, pattern)
-    if census_a != census_b:
+    # every count is positive, so equal items are equal censuses
+    if census_a.items() != census_b.items():
         raise CrossCheckError(
             f"{statistic} route censuses differ for pattern {pattern}: "
             f"{dict(census_a)} vs {dict(census_b)}"
@@ -538,7 +620,7 @@ def _certify(statistic: Statistic, k: int, n: int) -> tuple[tuple[int, ...], int
         if blocks > n:
             continue
         lam = tuple(sorted((pattern.count(b) for b in range(1, blocks + 1)), reverse=True))
-        groups[lam] = groups.get(lam, Fraction(0)) + inner(pattern, n)
+        groups[lam] = groups.get(lam, 0) + inner(pattern, n)
     for lam, total in groups.items():
         aut = math.prod(math.factorial(m) for m in Counter(lam).values())
         kostka = _hook_schurs(

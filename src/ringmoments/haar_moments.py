@@ -18,17 +18,18 @@ the moment is the census weighed by the table at n
 (``weingarten.ClassTable.weigh``), one integer dot product over the
 table's common denominator.
 
-The matchings are cosets.  With sigma_0 one row matching and Y the Young
-subgroup of the permutations that preserve the conj_rows values, the row
-matchings are the sigma = y * sigma_0 with y in Y; likewise the column
-matchings are the tau = z * tau_0 with z in the Young subgroup Z of the
-conj_cols values.  Conjugating by sigma_0, sigma^-1 * tau has the cycle
-type of y^-1 * z * rho with rho = tau_0 * sigma_0^-1, and each product
-y^-1 * z arises from exactly |Y n Z| pairs (y, z).  So the census runs over
-one representative x of each left coset x (Y n Z) in Y (the x increasing on
-every block of positions that agree in both conj_rows and conj_cols) times
-all of Z, with the weight |Y n Z|: |Y| |Z| / |Y n Z| products instead of
-|Y| |Z|, and k! instead of (k!)^2 for a word with every index equal.
+The matchings are cosets.  With both sides' (row, column) pairs sorted,
+the rows agree position by position when the row multisets do, so the row
+matchings are the sigma in the Young subgroup Y of the rows.  With tau_0
+one column matching, the column matchings are the tau = tau_0 * z with z in
+the Young subgroup Z of the unconjugated columns.  So sigma^-1 * tau is
+y * tau_0 * z with y = sigma^-1, which has the cycle type of z * y * tau_0,
+and each product z * y arises from exactly |Y n Z| pairs (z, y).  The
+census therefore runs over ZY once, all of Z times one y per right coset
+(Y n Z) y (``permutations.young_products``), with the weight |Y n Z|:
+|Y| |Z| / |Y n Z| products instead of |Y| |Z|, and k! instead of (k!)^2 for
+a word with every index equal.  Y and Z depend on the unconjugated side
+only, so the products are shared by every word with that side.
 
 The census is a function of the word's shape, so it is compiled once per
 shape.  Permuting the unconjugated factors by pi turns each matching pair
@@ -39,8 +40,8 @@ unchanged.  Both maps are bijections on the matching pairs.  Swapping the
 two sides turns each matching pair into (sigma^-1, tau^-1), and
 sigma tau^-1 is conjugate to (sigma^-1 tau)^-1, of the same cycle type.  So
 the census of a word equals the census of its canonical form, each side's
-(row, column) pairs sorted and the smaller side taken as unconjugated, and
-``word_census`` memoises that form's census.  The form is
+(row, column) pairs sorted (``word_side``) and the smaller side taken as
+unconjugated, and ``side_census`` memoises that form's census.  The form is
 only a cache key: words of one shape may get different keys (relabelled
 values do), which costs a second build and never a wrong census, since each
 key's census is computed from the word it names.
@@ -48,18 +49,12 @@ key's census is computed from the word it names.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .permutations import (
-    compose_images,
-    cycle_types_of_products,
-    young_subgroup_images,
-)
+from .permutations import cycle_types_of_products, young_products
 from .weingarten import wg_class_table
 
 # The census enumerates |Y| |Z| / |Y n Z| products (see the module
@@ -97,16 +92,14 @@ class MomentSpec:
 def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | None:
     """One permutation sigma with src[l] == dst[sigma(l)] for every position
     l (the j-th occurrence of each value goes to its j-th occurrence), or
-    None when the multisets disagree."""
-    # sorting (value, position) pairs lists each value's occurrences in
-    # position order
-    sigma = [0] * len(src)
-    for (value, l), (other, m) in zip(sorted(zip(src, range(len(src)))),
-                                      sorted(zip(dst, range(1, len(dst) + 1)))):
-        if value != other:
-            return None
-        sigma[l] = m
-    return tuple(sigma)
+    None when the multisets disagree; the tuples have one length."""
+    slots: dict[int, list[int]] = {}
+    for m, value in enumerate(dst, 1):
+        slots.setdefault(value, []).append(m)
+    try:
+        return tuple([slots[value].pop(0) for value in src])
+    except (KeyError, IndexError):  # a value of src missing or short in dst
+        return None
 
 
 def word_census(
@@ -122,46 +115,44 @@ def word_census(
     counted per coset (see the module docstring).  It depends on the shape
     of the word alone, never on the dimension or the index values, and is
     empty when the row or column multisets disagree.  Built once per
-    canonical form of the word (``_canonical_word``); the tuple is shared
+    canonical form of the word (``side_census``); the tuple is shared
     between callers."""
-    return _word_census(*_canonical_word(rows, cols, conj_rows, conj_cols))
+    # each side as ``word_side`` forms it, written out on this warm path
+    return side_census(tuple(sorted(zip(rows, cols))), tuple(sorted(zip(conj_rows, conj_cols))))
 
 
-def _canonical_word(
-    rows: Sequence[int],
-    cols: Sequence[int],
-    conj_rows: Sequence[int],
-    conj_cols: Sequence[int],
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The sorted (row, column) pairs of the unconjugated and of the
-    conjugated factors, the smaller side first."""
-    plain = tuple(sorted(zip(rows, cols)))
-    conj = tuple(sorted(zip(conj_rows, conj_cols)))
-    return min((plain, conj), (conj, plain))
+Side = tuple[tuple[int, int], ...]
+
+
+def word_side(rows: Sequence[int], cols: Sequence[int]) -> Side:
+    """One side of a word as ``side_census`` takes it: its (row, column)
+    pairs, sorted."""
+    return tuple(sorted(zip(rows, cols)))
+
+
+def side_census(plain: Side, conj: Side) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``word_census`` of the word with unconjugated side ``plain`` and
+    conjugated side ``conj`` (``word_side``); memoised per canonical form,
+    the smaller side taken as unconjugated."""
+    return _word_census(*min((plain, conj), (conj, plain)))
 
 
 @lru_cache(maxsize=None)
-def _word_census(
-    plain: tuple[tuple[int, int], ...], conj: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The census of the word with unconjugated (row, column) pairs ``plain``
-    and conjugated pairs ``conj``, both sorted, as (cycle type, count)
-    pairs; memoised per word, n-free."""
+def _word_census(plain: Side, conj: Side) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The census of the word with sides ``plain`` and ``conj``, as
+    (cycle type, count) pairs; memoised per word, n-free."""
     rows, cols = zip(*plain)
     conj_rows, conj_cols = zip(*conj)
-    # both sides are sorted, so the row matching, if any, is the identity
-    # and rho = tau_0
-    rho = _one_matching(cols, conj_cols)
-    if rows != conj_rows or rho is None:
+    # sorted sides: the row multisets agree exactly when the rows agree
+    # position by position (see the module docstring)
+    tau_0 = _one_matching(cols, conj_cols)
+    if rows != conj_rows or tau_0 is None:
         return ()
-    # Y n Z permutes the positions with equal (conj_row, conj_col) pairs
-    weight = math.prod(map(math.factorial, Counter(conj).values()))
-    # x * z * rho is conjugate to z * (rho * x): one compiled product per x
-    types = cycle_types_of_products(
-        young_subgroup_images(conj_cols),
-        [compose_images(rho, x) for x in young_subgroup_images(conj_rows, conj)],
-    )
-    return tuple((lam, count * weight) for lam, count in Counter(types).items())
+    products, weight = young_products(rows, cols)
+    census: dict[tuple[int, ...], int] = {}
+    for lam in cycle_types_of_products(products, [tau_0]):
+        census[lam] = census.get(lam, 0) + weight
+    return tuple(census.items())
 
 
 def entry_moment(spec: MomentSpec) -> Fraction:

@@ -14,14 +14,16 @@ the rightmost factor is applied first.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-# Young subgroups are memoised, and the cycle types of all of S_k
-# tabulated, up to this degree: it covers every word of the census orders
+# Young subgroups and their products are memoised, and the cycle types of
+# all of S_k tabulated, up to this degree: it covers every word of the census orders
 # in ``exact_moments``, and S_6 has 720 elements.  Larger groups come from
 # long entry-moment words, whose census is memoised per word anyway, and
 # S_8 alone would keep 40320 tuples alive.
@@ -280,10 +282,18 @@ def _young_subgroup(
     for block in blocks:
         arrangements = itertools.permutations(block)
         if fine is not None:
-            runs = _positions([fine[pos - 1] for pos in block]).values()
-            pairs = [(a - 1, b - 1) for run in runs for a, b in zip(run, run[1:])]
-            if pairs:
-                arrangements = [t for t in arrangements if all(t[a] < t[b] for a, b in pairs)]
+            # one p per distinct order of the block's fine labels: the
+            # positions of each fine label go, in order, to the slots that
+            # the order gives that label
+            marks = [fine[pos - 1] for pos in block]
+            runs = _positions(marks)
+            arrangements = []
+            for order in dict.fromkeys(itertools.permutations(marks)):
+                targets = [0] * len(block)
+                for mark, slots in _positions(order).items():
+                    for src, dst in zip(runs[mark], slots):
+                        targets[src - 1] = block[dst - 1]
+                arrangements.append(targets)
         choices.append(arrangements)
     identity = list(range(1, len(labels) + 1))
     out = []
@@ -294,3 +304,49 @@ def _young_subgroup(
                 images[src - 1] = dst
         out.append(tuple(images))
     return tuple(out)
+
+
+def young_products(
+    labels: Sequence, other: Sequence
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(products, |Y n Z|): the images of z * y (y acts first) for the Young
+    subgroups Y of ``labels`` and Z of ``other``, each element of ZY once;
+    every element of ZY is z * y for |Y n Z| pairs (z, y).
+
+    ZY is the union of the cosets Z y over one y per right coset
+    (Y n Z) y in Y: the inverses of the left coset representatives that
+    ``young_subgroup_images`` gives with the pairs of labels as fine labels.
+    Memoised per pair of labellings and per pair of blockings up to degree
+    ``MEMO_DEGREE``, like the subgroups, so the tuple is shared between
+    callers.
+
+    >>> young_products((1, 1, 2), (1, 2, 2))
+    (((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)), 1)
+    """
+    if len(labels) > MEMO_DEGREE:
+        return _young_products.__wrapped__(_blocks(labels), _blocks(other))
+    return _labelled_products(tuple(labels), tuple(other))
+
+
+@lru_cache(maxsize=None)
+def _labelled_products(
+    labels: tuple, other: tuple
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``young_products`` memoised per pair of labellings as given, so a
+    repeated call skips renaming them to blockings."""
+    return _young_products(_blocks(labels), _blocks(other))
+
+
+@lru_cache(maxsize=None)
+def _young_products(
+    labels: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``young_products`` of labellings renamed by ``_blocks``."""
+    pairs = tuple(zip(labels, other))
+    zs = young_subgroup_images(other)
+    products = tuple(
+        product
+        for rep in young_subgroup_images(labels, fine=pairs)
+        for product in composites(zs, invert_images(rep))
+    )
+    return products, math.prod(map(math.factorial, Counter(pairs).values()))

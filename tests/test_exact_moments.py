@@ -35,15 +35,22 @@ from ringmoments.exact_moments import (
     trace_moment_uu,
     verify_counting_lemma,
 )
-from ringmoments.haar_moments import MomentSpec, entry_moment
+from ringmoments.haar_moments import MomentSpec, entry_moment, word_side
 from ringmoments.montecarlo import estimate_trace_moment
-from ringmoments.permutations import Permutation, enumerate_sk0, young_subgroup_images
+from ringmoments.permutations import (
+    Permutation,
+    compose_images,
+    enumerate_sk0,
+    invert_images,
+    young_subgroup_images,
+)
 from ringmoments.profiles import SingularProfile
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import (
     counting_lemma_distances,
     full_cycle,
     ordered_injective_weight,
+    pairwise_entry_census,
     power_sums,
     set_partition_terms,
     unfolded_route_b_census,
@@ -228,33 +235,84 @@ class TestRouteCensuses:
     )
     def test_route_a_words_are_the_distinct_rearrangements(self, statistic, k, monkeypatch):
         # one conjugated word per coset of the pattern's stabilizer in the
-        # universe, each a distinct rearrangement of the pattern; the
+        # universe, each a distinct rearrangement of the pattern, tallied by
+        # side and each side looked up once against the pattern's own; the
         # stabilizers and universe are filtered out of all of S_k
-        words = []
+        lookups = []
 
-        def record(rows, cols, conj_rows, conj_cols):
-            words.append(conj_rows + conj_cols[-1:] if statistic == "uu" else conj_rows)
+        def record(plain, conj):
+            lookups.append((plain, conj))
             return ()
 
-        monkeypatch.setattr(exact_moments, "word_census", record)
+        monkeypatch.setattr(exact_moments, "side_census", record)
         group = list(itertools.permutations(range(1, k + 1)))
         universe = [phi for phi in group if statistic == "sq" or (phi[0], phi[-1]) == (1, k)]
         assert list(
             young_subgroup_images(exact_moments._young_labels(statistic, (1,) * k))
         ) == universe
+
+        def side(word):
+            # u[w_1, w_2] u[w_2, w_3] ..., open for uu and cyclic for sq
+            if statistic == "uu":
+                return word_side(word[:-1], word[1:])
+            return word_side(word, word[1:] + word[:1])
+
         for pattern in equality_patterns(k):
             stab = [a for a in universe if all(pattern[a[l] - 1] == pattern[l] for l in range(k))]
             assert sorted(
                 young_subgroup_images(exact_moments._young_labels(statistic, pattern))
             ) == stab
-            words.clear()
-            exact_moments._route_a_census(statistic, pattern)
+            least = exact_moments._least_rearrangement(statistic, pattern)
+            words = exact_moments._rearrangements(statistic, least)
             assert len(words) == len(universe) // len(stab), (statistic, pattern)
             rearrangements = {
                 w for w in itertools.permutations(pattern)
                 if statistic == "sq" or (w[0], w[-1]) == (pattern[0], pattern[-1])
             }
-            assert sorted(words) == sorted(rearrangements), (statistic, pattern)
+            assert words == rearrangements, (statistic, pattern)
+            tally = Counter(map(side, rearrangements))
+            assert dict(exact_moments._rearranged_sides(statistic, least)) == tally
+            lookups.clear()
+            exact_moments._route_a_census(statistic, pattern)
+            assert sorted(lookups) == sorted((side(pattern), conj) for conj in tally)
+
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 7)] + [("sq", k) for k in range(1, 6)],
+    )
+    def test_route_a_is_the_pairwise_census_of_the_rearrangements(self, statistic, k):
+        # route A against every matching pair of every rearranged word, one
+        # word at a time, sharing nothing with the production tally, memo or
+        # coset count
+        for pattern in equality_patterns(k):
+            expect: Counter = Counter()
+            for w in set(itertools.permutations(pattern)):
+                if statistic == "uu" and (w[0], w[-1]) != (pattern[0], pattern[-1]):
+                    continue
+                if statistic == "uu":
+                    spec = MomentSpec(k, pattern[:-1], pattern[1:], w[:-1], w[1:])
+                else:
+                    spec = MomentSpec(k, pattern, pattern[1:] + pattern[:1], w, w[1:] + w[:1])
+                expect.update(pairwise_entry_census(spec))
+            assert exact_moments._route_a_census(statistic, pattern) == expect, (statistic, pattern)
+
+    @pytest.mark.parametrize(
+        "statistic,k",
+        [("uu", k) for k in range(2, 7)] + [("sq", k) for k in range(1, 6)],
+    )
+    def test_class_representatives_name_the_conjugacy_classes(self, statistic, k):
+        # route B's tally key against the orbits of all of S_k under
+        # conjugation by the universe, formed in full
+        universe = young_subgroup_images(exact_moments._young_labels(statistic, (1,) * k))
+        orbits = {}
+        for beta in itertools.permutations(range(1, k + 1)):
+            orbit = frozenset(
+                compose_images(compose_images(g, beta), invert_images(g)) for g in universe
+            )
+            orbits.setdefault(orbit, set()).add(exact_moments._class_representative(statistic, beta))
+        assert all(len(reps) == 1 for reps in orbits.values())
+        assert all(next(iter(reps)) in orbit for orbit, reps in orbits.items())
+        assert len({next(iter(reps)) for reps in orbits.values()}) == len(orbits)
 
     def test_sq_census_mass_at_the_distinct_pattern(self):
         # sq at the all-distinct pattern: a trivial stabilizer, so route B

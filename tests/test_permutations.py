@@ -11,7 +11,7 @@ Oracles used here:
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +26,7 @@ from ringmoments.permutations import (
     cycle_types_of_products,
     enumerate_sk0,
     invert_images,
+    young_products,
     young_subgroup_images,
 )
 from ringmoments.weingarten import monotone_counts
@@ -291,6 +292,45 @@ class TestGroupEnumeration:
             assert len(reps) * len(stab) == len(universe)
             covered = {compose_images(a, phi) for phi in reps for a in stab}
             assert covered == set(universe)
+
+    def test_coset_representatives_are_the_increasing_arrangements(self):
+        # young_subgroup_images(labels, fine) against its definition: the p
+        # of the Young subgroup that increase on every block of equal fine
+        # labels, filtered out of all of S_k; degree 7 is past the memo
+        rng = random.Random(20261020)
+        for _ in range(40):
+            k = rng.randint(1, 7)
+            labels = tuple(rng.randint(1, 3) for _ in range(k))
+            fine = tuple(rng.randint(1, 3) for _ in range(k))
+            group = [
+                p for p in itertools.permutations(range(1, k + 1))
+                if all(labels[p[m] - 1] == labels[m] for m in range(k))
+            ]
+            increasing = [
+                p for p in group
+                if all(p[a] < p[b] for a in range(k) for b in range(a + 1, k)
+                       if (labels[a], fine[a]) == (labels[b], fine[b]))
+            ]
+            reps = young_subgroup_images(labels, fine=fine)
+            assert sorted(reps) == increasing, (labels, fine)
+
+    def test_young_products_are_the_product_set(self):
+        # each z * y of Z and Y once, and every one made by |Y n Z| pairs;
+        # degree 7 is past the memo
+        rng = random.Random(20261022)
+        for _ in range(40):
+            k = rng.randint(1, 7)
+            labels = tuple(rng.randint(1, 3) for _ in range(k))
+            other = tuple(rng.randint(1, 3) for _ in range(k))
+            pairs = Counter(
+                compose_images(z, y)
+                for z in young_subgroup_images(other)
+                for y in young_subgroup_images(labels)
+            )
+            products, weight = young_products(labels, other)
+            assert len(set(products)) == len(products), (labels, other)
+            assert set(products) == set(pairs) and set(pairs.values()) == {weight}, (labels, other)
+        assert young_products((5, 7, 5), ("a", "b", "b")) is young_products((1, 2, 1), (1, 2, 2))
 
 
 @st.composite
