@@ -108,10 +108,16 @@ independent routes:
   coset, that is one per distinct rearrangement of the tuple
   (``_rearrangements``).  A word's census depends on its conjugated factors
   only through their sorted (row, column) pairs, so the rearrangements are
-  tallied per such side, once per set of letters (``_rearranged_sides``),
-  and each side's census, counted per coset of the matchings and built
-  once per canonical form of the word (``haar_moments.side_census``), is
-  looked up once per pattern and summed as integers times its tally,
+  tallied per such side, once per set of letters (``_rearranged_sides``;
+  for sq only the words that start with one letter, since a rotated word
+  has the same side), and each side's census, counted per coset of the
+  matchings and built once per canonical form of the word
+  (``haar_moments.side_census``), is looked up once per pattern and summed
+  as integers times its tally.  The pattern is counted in the form that
+  shares the most with other patterns (``_route_a_word``): its values
+  renamed by multiplicity, and for uu reversed when that gives the smaller
+  side, since the reversed pattern's words are the transposes of its own,
+  with the same censuses,
 * route B pushes the delta constraints through the Weingarten sum and counts
   the conjugation-and-transposition dressed words
   w = c^-1 phi^-1 alpha^-1 c d phi it lands on (c the full cycle, alpha a
@@ -122,10 +128,14 @@ independent routes:
   beta by the universe permutes that set, so the census depends on beta
   only through its conjugacy class in the universe, and a pattern's census
   is the sum over its multiset of beta tallied by class
-  (``_class_representative``).  The uu words must fix the endpoint k;
-  every uu reordering phi fixes k, so w fixes k exactly when gamma * beta
-  does, and the check on the conjugates is the same check.  Route A never
-  uses this fold.
+  (``_class_representative``; for sq, whose universe is all of S_k, by
+  cycle type), one sum per dressing memoised per stabilizer and dressing
+  (``_dressed_census``), which the uu patterns with one middle share.  The
+  uu words must fix the endpoint k; every uu reordering phi fixes k, so w
+  fixes k exactly when gamma * beta does, and the check on the conjugates
+  is the same check, after which gamma * beta is a permutation of
+  {1..k-1} and its cycle type is read in S_{k-1}.  Route A never uses
+  this fold.
 
 The two censuses are compared as integer vectors, which checks the
 derivations at every n at once.  A disagreement raises ``CrossCheckError``;
@@ -133,7 +143,7 @@ it would mean the two derivations do not describe the same quantity, so no
 answer is returned in that case.  An inner average at dimension n is then
 the census weighed by the degree-k Weingarten table at n
 (``ClassTable.weigh``), which is defined at every n >= 1, below the degree
-too.
+too; the two routes' censuses being equal, one weighing serves both.
 
 Folding the n^k outer sum over equality patterns gives
 sum_lam aut(lam) S_lam(n) m_lam(x) over partitions lam of k with at most n
@@ -168,13 +178,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, permutations
+from itertools import accumulate, permutations
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
 from .haar_moments import Side, side_census, word_side
 from .permutations import (
     Permutation,
+    blocked_young_subgroup,
+    blocking,
     compose_images,
     composites,
     cycle_types_of_products,
@@ -210,25 +222,32 @@ def _index_pattern(indices: Sequence[int], n: int) -> tuple[int, ...]:
         raise ValueError("index tuple must be nonempty")
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    bad = [e for e in indices if not 1 <= e <= n]
-    if bad:
+    if min(indices) < 1 or max(indices) > n:
+        bad = [e for e in indices if not 1 <= e <= n]
         raise ValueError(f"entries {bad} outside 1..{n}")
-    names: dict[int, int] = {}
-    return tuple(names.setdefault(e, len(names) + 1) for e in indices)
+    order = dict.fromkeys(indices)  # first appearances, in order
+    names = dict(zip(order, range(1, len(order) + 1)))
+    return tuple(map(names.__getitem__, indices))
 
 
 def _young_labels(statistic: Statistic, labels: Sequence[int]) -> tuple[int, ...]:
     """Labels whose Young subgroup holds the reorderings of the statistic's
     universe that keep ``labels``: for uu the endpoints get labels of their
     own.  With all labels equal it is the universe itself."""
-    if statistic not in ("uu", "sq"):
-        raise ValueError(f"unknown statistic {statistic!r}")
+    _check_universe(statistic, len(labels))
     if statistic == "sq":
         return tuple(labels)
-    if len(labels) < 2:
-        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
     # pattern labels are positive, so 0 and -1 are the endpoints' own
     return (0,) + tuple(labels[1:-1]) + (-1,)
+
+
+def _check_universe(statistic: Statistic, k: int) -> None:
+    """Reject an unknown statistic, or a uu degree with no endpoint-fixing
+    subgroup."""
+    if statistic not in ("uu", "sq"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if statistic == "uu" and k < 2:
+        raise ValueError("endpoint-fixing subgroup needs degree >= 2")
 
 
 def _least_rearrangement(statistic: Statistic, pattern: tuple[int, ...]) -> tuple[int, ...]:
@@ -236,20 +255,21 @@ def _least_rearrangement(statistic: Statistic, pattern: tuple[int, ...]) -> tupl
     position for sq, all but the two endpoints for uu.  Two patterns have
     the same rearrangements (``_rearrangements``) exactly when they have the
     same least one."""
-    _young_labels(statistic, pattern)  # rejects an unknown statistic or a uu word below degree 2
+    _check_universe(statistic, len(pattern))
     if statistic == "sq":
         return tuple(sorted(pattern))
     return pattern[:1] + tuple(sorted(pattern[1:-1])) + pattern[-1:]
 
 
-def _rearrangements(statistic: Statistic, word: tuple[int, ...]) -> set[tuple[int, ...]]:
+def _rearrangements(statistic: Statistic, word: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct words w_{phi(1)} ... w_{phi(k)} over the reorderings phi
     of the statistic's universe, one per coset stab * phi of the word's
     stabilizer: every rearrangement for sq, and for uu those that keep both
     endpoints in place.  No validation."""
     if statistic == "sq":
-        return set(permutations(word))
-    return {word[:1] + middle + word[-1:] for middle in permutations(word[1:-1])}
+        return list(set(permutations(word)))
+    first, last = word[:1], word[-1:]
+    return [first + middle + last for middle in set(permutations(word[1:-1]))]
 
 
 def _chain_side(statistic: Statistic, word: tuple[int, ...]) -> Side:
@@ -265,12 +285,26 @@ def _rearranged_sides(
     """The sides (``_chain_side``) of the rearrangements of ``least``
     tallied: (side, number of rearrangements) over the distinct sides.
     Memoised per least rearrangement, so the patterns with the same letters
-    share one tally."""
-    words = _rearrangements(statistic, least)
-    return tuple(Counter(_chain_side(statistic, w) for w in words).items())
+    share one tally.
+
+    A rotated sq word has the same closed chain, so its side; a class of
+    rotations has k/m times as many words as it has words that start with
+    a letter occurring m times.  So for sq only the words that start with
+    the most frequent letter are formed, and their tally is scaled by k/m,
+    which is exact class by class."""
+    # each word's ``_chain_side``, written out on this hot path
+    if statistic == "uu":
+        return tuple(Counter([tuple(sorted(zip(w, w[1:]))) for w in _rearrangements("uu", least)]).items())
+    first = max(least, key=least.count)
+    rest = list(least)
+    rest.remove(first)
+    words = [(first,) + w for w in set(permutations(rest))]
+    tally = Counter([tuple(sorted(zip(w, w[1:] + w[:1]))) for w in words])
+    scale, occurrences = len(least), least.count(first)
+    return tuple((side, count * scale // occurrences) for side, count in tally.items())
 
 
-def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
+def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Route A: the entry censuses of one word pair per stabilizer coset.
 
     Each coset stab * phi is one distinct rearrangement w of the pattern,
@@ -291,13 +325,51 @@ def _route_a_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     letters), and each side's census (``haar_moments.side_census``) is
     looked up once and added as integers times its multiplicity.
     """
-    sides = _rearranged_sides(statistic, _least_rearrangement(statistic, pattern))
-    plain = _chain_side(statistic, pattern)
+    word, plain = _route_a_word(statistic, pattern)
+    sides = _rearranged_sides(statistic, _least_rearrangement(statistic, word))
     census: dict[tuple[int, ...], int] = {}
     for conj, multiplicity in sides:
         for lam, count in side_census(plain, conj):
             census[lam] = census.get(lam, 0) + multiplicity * count
-    return Counter(census)
+    return census
+
+
+def _route_a_word(statistic: Statistic, pattern: tuple[int, ...]) -> tuple[tuple[int, ...], Side]:
+    """(word, its ``_chain_side``): the form of the pattern whose
+    rearrangements route A counts.
+
+    A word's census depends on the equalities of its indices alone, so
+    route A may count any renaming of the pattern.  It renames the values
+    1, 2, ... by what the rearrangements keep: for uu the two endpoints'
+    values first, then the values by multiplicity, most frequent first,
+    ties in order of first appearance.  For uu it may also count the
+    reversed pattern: the words of its rearrangements are the transposes
+    of the pattern's, every (row, column) pair swapped, and a matching pair
+    (sigma, tau) of a word is the pair (tau, sigma) of its transpose, with
+    tau^-1 sigma the inverse of sigma^-1 tau, of the same cycle type.  Of
+    the two, the one with the smaller side is taken.  So patterns of
+    similar shape reach the same least rearrangement and the same sides,
+    and share their tallies and word censuses."""
+    counts = dict.fromkeys(pattern, 0)
+    for v in pattern:
+        counts[v] += 1
+    if statistic == "sq":
+        # stable: equal counts keep the order of first appearance
+        order = sorted(counts, key=counts.__getitem__, reverse=True)
+        names = dict(zip(order, range(1, len(order) + 1)))
+        word = tuple(map(names.__getitem__, pattern))
+        return word, _chain_side(statistic, word)
+    forms = []
+    for candidate in (pattern, pattern[::-1]):
+        first, last = candidate[0], candidate[-1]
+        order = sorted(dict.fromkeys(candidate), key=counts.__getitem__, reverse=True)
+        ends = [first] if first == last else [first, last]
+        order = ends + [v for v in order if v != first and v != last]
+        names = dict(zip(order, range(1, len(order) + 1)))
+        word = tuple(map(names.__getitem__, candidate))
+        forms.append((tuple(sorted(zip(word, word[1:]))), word))  # its ``_chain_side``
+    side, word = min(forms)
+    return word, side
 
 
 @lru_cache(maxsize=None)
@@ -322,18 +394,20 @@ def _folded_census(
     ``_cycle_conjugates``, as (cycle type, count) pairs; for uu, cycle types
     on {1..k-1}, and None when some gamma * beta moves the point k."""
     conjugates = _cycle_conjugates(statistic, k)
-    if statistic == "uu" and any(gamma[beta[k - 1] - 1] != k for gamma, _ in conjugates):
-        return None
-    types = cycle_types_of_products([gamma for gamma, _ in conjugates], [beta])
+    if statistic == "uu":
+        if any(gamma[beta[k - 1] - 1] != k for gamma, _ in conjugates):
+            return None
+        # every gamma * beta fixes k: its images of 1..k-1 are a
+        # permutation of degree k - 1 with the other cycles
+        beta = beta[:-1]
+    types = cycle_types_of_products([gamma for gamma, _ in conjugates], beta)
     census: dict[tuple[int, ...], int] = {}
     for lam, (_, multiplicity) in zip(types, conjugates):
-        if statistic == "uu":
-            lam = lam[:-1]  # drop the fixed point k
         census[lam] = census.get(lam, 0) + multiplicity
     return tuple(census.items())
 
 
-def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
+def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Route B: the cycle types of the dressed conjugation words.
 
     With c the full cycle 1 -> 2 -> ... -> k -> 1 and alpha running over the
@@ -366,28 +440,56 @@ def _route_b_census(statistic: Statistic, pattern: tuple[int, ...]) -> Counter:
     holds for a whole class or for none of it.
     """
     k = len(pattern)
+    labels = blocking(_young_labels(statistic, pattern))
     if statistic == "sq":
-        c_dressed = [tuple(range(2, k + 1)) + (1,)]  # sq words carry no dressing
+        dressings = [(1, k - 1)]  # (k-1 k-1) (1 1): sq words carry no dressing
     else:
-        c_dressed = [
-            _dressed_cycle(k, l1, l2)
-            for l1 in range(1, k)
-            if pattern[l1 - 1] == pattern[0]
-            for l2 in range(1, k)
-            if pattern[l2] == pattern[k - 1]
-        ]
-    stab = young_subgroup_images(_young_labels(statistic, pattern))
-    # alpha^-1 runs over the group as alpha does
-    betas = chain.from_iterable(composites(stab, tail) for tail in c_dressed)
-    classes = Counter(map(partial(_class_representative, statistic), betas))
+        l2s = [l2 for l2 in range(1, k) if pattern[l2] == pattern[k - 1]]
+        dressings = [(l1, l2) for l1 in range(1, k) if pattern[l1 - 1] == pattern[0] for l2 in l2s]
     census: dict[tuple[int, ...], int] = {}
-    for beta, multiplicity in classes.items():
-        folded = _folded_census(statistic, k, beta)
-        if folded is None:
+    for l1, l2 in dressings:
+        dressed = _dressed_census(statistic, labels, l1, l2)
+        if dressed is None:
             raise CrossCheckError(f"route B word moves the endpoint for pattern {pattern}")
+        for lam, count in dressed:
+            census[lam] = census.get(lam, 0) + count
+    return census
+
+
+@lru_cache(maxsize=None)
+def _dressed_census(
+    statistic: Statistic, labels: tuple[int, ...], l1: int, l2: int
+) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """Route B's census of the betas alpha^-1 c (l2 k-1) (1 l1), alpha over
+    the Young subgroup of ``labels`` (a stabilizer, blocked by
+    ``blocking``): the betas tallied by conjugacy class and each class's
+    folded census (``_folded_census``) added once; None when some word
+    moves the endpoint.  Memoised per stabilizer blocking and dressing,
+    which patterns share: a uu stabilizer depends on the middle of the
+    pattern alone."""
+    tail = _dressed_cycle(len(labels), l1, l2)
+    # alpha^-1 runs over the group as alpha does
+    stab = blocked_young_subgroup(labels)
+    betas = composites(stab, tail)
+    if statistic == "sq":
+        # the universe is all of S_k, so a class is a cycle type
+        names = cycle_types_of_products(stab, tail)
+    else:
+        names = map(partial(_class_representative, statistic), betas)
+    classes: dict[tuple[int, ...], list] = {}  # class -> [a beta in it, count]
+    for name, beta in zip(names, betas):
+        if name in classes:
+            classes[name][1] += 1
+        else:
+            classes[name] = [beta, 1]
+    census: dict[tuple[int, ...], int] = {}
+    for beta, multiplicity in classes.values():
+        folded = _folded_census(statistic, len(tail), _class_representative(statistic, beta))
+        if folded is None:
+            return None
         for lam, count in folded:
             census[lam] = census.get(lam, 0) + multiplicity * count
-    return Counter(census)
+    return tuple(census.items())
 
 
 @lru_cache(maxsize=None)
@@ -445,14 +547,14 @@ def _dressed_cycle(k: int, l1: int, l2: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def route_censuses(
     statistic: Statistic, pattern: tuple[int, ...]
-) -> tuple[Counter, Counter]:
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """The route-A and route-B Weingarten censuses of one equality pattern
     (a canonical index tuple, see ``equality_patterns``), after checking
     that they are equal as integer vectors.
 
     Built on first use and memoized per (statistic, pattern); the pattern's
-    length is k.  The returned counters are shared between callers and must
-    not be mutated.
+    length is k.  The censuses map cycle types to counts; they are shared
+    between callers and must not be mutated.
     """
     census_a = _route_a_census(statistic, pattern)
     census_b = _route_b_census(statistic, pattern)
@@ -470,16 +572,18 @@ def _inner_paths(
 ) -> tuple[Fraction, Fraction]:
     """Both evaluations of the statistic's inner average for one index
     tuple: the route-A and route-B censuses of its pattern weighed by the
-    Weingarten table at n, of degree k-1 for uu and k for sq."""
+    Weingarten table at n, of degree k-1 for uu and k for sq.  The two
+    censuses are equal as integer vectors (``route_censuses``), so one
+    weighing is the value of both."""
     pattern = _index_pattern(indices, n)
     k = len(pattern)
     orders = _CENSUS_ORDERS[statistic]
     if k > orders[-1]:
         raise ValueError(f"order {k} above supported ceiling {orders[-1]}")
     # route_censuses refuses a uu order below the range (no endpoint-fixing subgroup)
-    census_a, census_b = route_censuses(statistic, pattern)
-    table = wg_class_table(k - 1 if statistic == "uu" else k, n)
-    return table.weigh(census_a.items()), table.weigh(census_b.items())
+    census_a, _ = route_censuses(statistic, pattern)
+    value = wg_class_table(k - 1 if statistic == "uu" else k, n).weigh(census_a.items())
+    return value, value
 
 
 def _inner_average(statistic: Statistic, indices: Sequence[int], n: int) -> Fraction:
@@ -531,14 +635,10 @@ def g_i(indices: Sequence[int], n: int) -> Fraction:
 def equality_patterns(k: int) -> Iterator[tuple[int, ...]]:
     """Canonical index tuples, one per equality pattern of k positions:
     entries are block labels 1, 2, ... in order of first appearance."""
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for label in range(1, used + 2):
-            yield from rec(prefix + [label], max(used, label))
-
-    yield from rec([], 0)
+    patterns: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        patterns = [p + (label,) for p in patterns for label in range(1, max(p, default=0) + 2)]
+    yield from patterns
 
 
 def _hook_coefficients(
@@ -614,23 +714,32 @@ def _certify(statistic: Statistic, k: int, n: int) -> tuple[tuple[int, ...], int
     if k not in _CENSUS_ORDERS[statistic]:
         return numerators, denominator
     inner = f_i if statistic == "uu" else g_i
-    groups: dict[tuple[int, ...], Fraction] = {}
+    # every inner average is a multiple of 1/scale, the denominator of the
+    # table it is weighed by, so the group sums are integers over scale
+    scale = wg_class_table(k - 1 if statistic == "uu" else k, n).denominator
+    groups: dict[tuple[int, ...], int] = {}
     for pattern in equality_patterns(k):
         blocks = max(pattern)
         if blocks > n:
             continue
-        lam = tuple(sorted((pattern.count(b) for b in range(1, blocks + 1)), reverse=True))
-        groups[lam] = groups.get(lam, 0) + inner(pattern, n)
+        lam = tuple(sorted(map(pattern.count, range(1, blocks + 1)), reverse=True))
+        value = inner(pattern, n)
+        multiple, rest = divmod(scale, value.denominator)
+        if rest:
+            raise CrossCheckError(
+                f"{statistic} inner average {value} at k={k}, n={n} is off the table's denominator"
+            )
+        groups[lam] = groups.get(lam, 0) + value.numerator * multiple
     for lam, total in groups.items():
         aut = math.prod(math.factorial(m) for m in Counter(lam).values())
         kostka = _hook_schurs(
             [math.comb(len(lam), b) for b in range(k + 1)], [1] * (k + 1), k, len(numerators)
         )
         hook_side = sum(a * c for a, c in zip(numerators, kostka))
-        if aut * total * denominator != hook_side:
+        if aut * total * denominator != hook_side * scale:
             raise CrossCheckError(
                 f"{statistic} hook sum disagrees with the census at k={k}, n={n}, "
-                f"lambda={lam}: {aut * total} vs {Fraction(hook_side, denominator)}"
+                f"lambda={lam}: {Fraction(aut * total, scale)} vs {Fraction(hook_side, denominator)}"
             )
     return numerators, denominator
 

@@ -89,19 +89,6 @@ class MomentSpec:
         return len(self.rows)
 
 
-def _one_matching(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...] | None:
-    """One permutation sigma with src[l] == dst[sigma(l)] for every position
-    l (the j-th occurrence of each value goes to its j-th occurrence), or
-    None when the multisets disagree; the tuples have one length."""
-    slots: dict[int, list[int]] = {}
-    for m, value in enumerate(dst, 1):
-        slots.setdefault(value, []).append(m)
-    try:
-        return tuple([slots[value].pop(0) for value in src])
-    except (KeyError, IndexError):  # a value of src missing or short in dst
-        return None
-
-
 def word_census(
     rows: Sequence[int],
     cols: Sequence[int],
@@ -134,7 +121,7 @@ def side_census(plain: Side, conj: Side) -> tuple[tuple[tuple[int, ...], int], .
     """``word_census`` of the word with unconjugated side ``plain`` and
     conjugated side ``conj`` (``word_side``); memoised per canonical form,
     the smaller side taken as unconjugated."""
-    return _word_census(*min((plain, conj), (conj, plain)))
+    return _word_census(plain, conj) if plain <= conj else _word_census(conj, plain)
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +132,23 @@ def _word_census(plain: Side, conj: Side) -> tuple[tuple[tuple[int, ...], int], 
     conj_rows, conj_cols = zip(*conj)
     # sorted sides: the row multisets agree exactly when the rows agree
     # position by position (see the module docstring)
-    tau_0 = _one_matching(cols, conj_cols)
-    if rows != conj_rows or tau_0 is None:
+    if rows != conj_rows:
+        return ()
+    # tau_0: each column goes to a position of its value among the
+    # conjugated columns, each such position used once
+    slots: dict[int, list[int]] = {}
+    for m, value in enumerate(conj_cols, 1):
+        if value in slots:
+            slots[value].append(m)
+        else:
+            slots[value] = [m]
+    try:
+        tau_0 = [slots[value].pop() for value in cols]
+    except (KeyError, IndexError):  # the column multisets disagree
         return ()
     products, weight = young_products(rows, cols)
     census: dict[tuple[int, ...], int] = {}
-    for lam in cycle_types_of_products(products, [tau_0]):
+    for lam in cycle_types_of_products(products, tau_0):
         census[lam] = census.get(lam, 0) + weight
     return tuple(census.items())
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -70,23 +69,20 @@ def composites(ps: Iterable[Sequence[int]], q: Sequence[int]) -> list[tuple[int,
     return list(map(itemgetter(*[y - 1 for y in q]), ps))
 
 
-def cycle_types_of_products(
-    ps: Sequence[tuple[int, ...]], qs: Iterable[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """The cycle type of p * q (q acts first) for each q in ``qs`` and p in
-    ``ps``, q outer.  No validation.
+def cycle_types_of_products(ps: Sequence[Sequence[int]], q: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The cycle type of p * q (q acts first) for each p in ``ps``, in
+    order, as an iterable read once.  No validation.
 
-    Up to degree ``MEMO_DEGREE`` the products are formed by ``composites``
-    and their types read off ``_cycle_type_table``; beyond it each product's
-    cycles are walked.
+    Up to degree ``MEMO_DEGREE`` the products are formed by one item lookup
+    compiled for q, as in ``composites``, and their types read off
+    ``_cycle_type_table``; beyond it each product's cycles are walked.
     """
-    types: list[tuple[int, ...]] = []
-    for q in qs:
-        if len(q) <= MEMO_DEGREE:
-            types += map(_cycle_type_table(len(q)).__getitem__, composites(ps, q))
-        else:
-            types += [cycle_type_of_product(p, q) for p in ps]
-    return types
+    k = len(q)
+    if k > MEMO_DEGREE:
+        return [cycle_type_of_product(p, q) for p in ps]
+    if k == 1:
+        return [(1,)] * len(ps)
+    return map(_cycle_type_table(k).__getitem__, map(itemgetter(*[y - 1 for y in q]), ps))
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +234,7 @@ def _positions(labels: Sequence) -> dict:
     return positions
 
 
-def _blocks(labels: Sequence) -> tuple[int, ...]:
+def blocking(labels: Iterable) -> tuple[int, ...]:
     """``labels`` renamed 0, 1, ... in order of first appearance: the same
     blocks of positions under names that depend on nothing else."""
     names: dict = {}
@@ -266,44 +262,55 @@ def young_subgroup_images(
     >>> young_subgroup_images((1, 1, 1), fine=(1, 2, 2))
     ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     """
-    key = (_blocks(labels), None if fine is None else _blocks(fine))
-    if len(key[0]) > MEMO_DEGREE:
-        return _young_subgroup.__wrapped__(*key)
-    return _young_subgroup(*key)
+    return blocked_young_subgroup(blocking(labels), None if fine is None else blocking(fine))
+
+
+def blocked_young_subgroup(
+    labels: tuple[int, ...], fine: tuple[int, ...] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """``young_subgroup_images`` of labellings already renamed by
+    ``blocking``, which skips renaming them again: memoised up to degree
+    ``MEMO_DEGREE``, built afresh above it."""
+    if len(labels) > MEMO_DEGREE:
+        return _young_subgroup.__wrapped__(labels, fine)
+    return _young_subgroup(labels, fine)
 
 
 @lru_cache(maxsize=None)
 def _young_subgroup(
     labels: tuple[int, ...], fine: tuple[int, ...] | None
 ) -> tuple[tuple[int, ...], ...]:
-    """``young_subgroup_images`` of labellings renamed by ``_blocks``."""
-    blocks = [block for block in _positions(labels).values() if len(block) > 1]
-    choices = []
-    for block in blocks:
-        arrangements = itertools.permutations(block)
-        if fine is not None:
-            # one p per distinct order of the block's fine labels: the
-            # positions of each fine label go, in order, to the slots that
-            # the order gives that label
+    """``young_subgroup_images`` of labellings renamed by ``blocking``."""
+    k = len(labels)
+    identity = tuple(range(1, k + 1))
+    group = [identity]
+    # the last block first, so that the first block varies slowest
+    for block in reversed(_positions(labels).values()):
+        if len(block) == 1:
+            continue
+        if fine is None:
+            arrangements = itertools.permutations(block)
+        else:
+            # one p per distinct order of the block's fine labels: the j-th
+            # position of the block in the order of its fine labels goes to
+            # the j-th slot in the order of the labels the order gives them
             marks = [fine[pos - 1] for pos in block]
-            runs = _positions(marks)
+            by_mark = sorted(range(len(block)), key=marks.__getitem__)
             arrangements = []
             for order in dict.fromkeys(itertools.permutations(marks)):
                 targets = [0] * len(block)
-                for mark, slots in _positions(order).items():
-                    for src, dst in zip(runs[mark], slots):
-                        targets[src - 1] = block[dst - 1]
-                arrangements.append(targets)
-        choices.append(arrangements)
-    identity = list(range(1, len(labels) + 1))
-    out = []
-    for combo in itertools.product(*choices):
-        images = identity[:]
-        for block, targets in zip(blocks, combo):
-            for src, dst in zip(block, targets):
-                images[src - 1] = dst
-        out.append(tuple(images))
-    return tuple(out)
+                for src, slot in zip(by_mark, sorted(range(len(block)), key=order.__getitem__)):
+                    targets[src] = block[slot]
+                arrangements.append(tuple(targets))
+        # each arrangement as the images of all k points: the block's
+        # positions read its targets, appended after the identity
+        spliced = list(range(k))
+        for j, pos in enumerate(block):
+            spliced[pos - 1] = k + j
+        moves = list(map(itemgetter(*spliced), map(identity.__add__, arrangements)))
+        # the blocks are disjoint, so each move commutes with the group so far
+        group = [p for move in moves for p in composites(group, move)]
+    return tuple(group)
 
 
 def young_products(
@@ -324,7 +331,7 @@ def young_products(
     (((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)), 1)
     """
     if len(labels) > MEMO_DEGREE:
-        return _young_products.__wrapped__(_blocks(labels), _blocks(other))
+        return _young_products.__wrapped__(blocking(labels), blocking(other))
     return _labelled_products(tuple(labels), tuple(other))
 
 
@@ -334,19 +341,19 @@ def _labelled_products(
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``young_products`` memoised per pair of labellings as given, so a
     repeated call skips renaming them to blockings."""
-    return _young_products(_blocks(labels), _blocks(other))
+    return _young_products(blocking(labels), blocking(other))
 
 
 @lru_cache(maxsize=None)
 def _young_products(
     labels: tuple[int, ...], other: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``young_products`` of labellings renamed by ``_blocks``."""
-    pairs = tuple(zip(labels, other))
-    zs = young_subgroup_images(other)
-    products = tuple(
-        product
-        for rep in young_subgroup_images(labels, fine=pairs)
-        for product in composites(zs, invert_images(rep))
-    )
-    return products, math.prod(map(math.factorial, Counter(pairs).values()))
+    """``young_products`` of labellings renamed by ``blocking``."""
+    pairs = blocking(zip(labels, other))
+    zs = blocked_young_subgroup(other)
+    products: list[tuple[int, ...]] = []
+    for rep in blocked_young_subgroup(labels, pairs):
+        products += composites(zs, invert_images(rep))
+    # |Y n Z|, the order of the Young subgroup of the pairs
+    weight = math.prod(map(math.factorial, map(pairs.count, range(max(pairs) + 1))))
+    return tuple(products), weight

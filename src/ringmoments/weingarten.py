@@ -4,7 +4,8 @@ One engine, the characters of S_k, serves every exact quantity here.
 ``wg_character_table(k)`` holds the data that does not depend on the
 dimension: for each partition lam of k its hook-length product H_lam, the
 contents j - i of its cells (i, j), and the character values chi_lam(mu) on
-every class mu, by Murnaghan-Nakayama.  From it:
+every class mu, by Murnaghan-Nakayama run forward on beads, one column of
+the table per class (``_character_columns``).  From it:
 
 * ``wg_class_table`` / ``wg_exact``: the exact Weingarten values, by the
   character expansion (Collins-Sniady 2006)
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator
 
 from .permutations import Permutation
@@ -75,37 +77,43 @@ def class_representative(cycle_type: tuple[int, ...], k: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _beta_numbers(lam: tuple[int, ...]) -> list[int]:
-    length = len(lam)
-    return [lam[i] + (length - 1 - i) for i in range(length)]
-
-
-def _partition_from_beta(beta: list[int]) -> tuple[int, ...]:
-    ordered = sorted(beta, reverse=True)
-    length = len(ordered)
-    lam = tuple(ordered[i] - (length - 1 - i) for i in range(length))
-    return tuple(part for part in lam if part > 0)
-
-
 @lru_cache(maxsize=None)
-def _irreducible_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Symmetric-group character value chi_lam on class mu, by repeatedly
-    stripping border strips of length mu[0] (beta-number formulation)."""
-    if not mu:
-        return 1
-    strip = mu[0]
-    beta = _beta_numbers(lam)
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        lowered = b - strip
-        if lowered < 0 or lowered in beta_set:
-            continue
-        height = sum(1 for x in beta if lowered < x < b)
-        rest = _partition_from_beta([x for x in beta if x != b] + [lowered])
-        value = _irreducible_character(rest, mu[1:])
-        total += -value if height % 2 else value
-    return total
+def _character_columns(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """mu -> (chi_lam(mu) for lam in ``integer_partitions(k)``) for every
+    class mu of S_k, by the Murnaghan-Nakayama rule run forward.
+
+    A partition lam of at most k parts is its k beads lam_i + k - i
+    (i = 1..k, lam padded with zeros), held as the bits of an int; adding a
+    border strip of length r moves one bead r places up into a gap, with
+    sign (-1)^(beads jumped).  chi_lam(mu) sums the signs over the ways to
+    build lam from the empty partition by strips of lengths mu_1, mu_2, ...
+    in any fixed order, so the column of mu is the column of mu without its
+    last part with strips of that length added, and the columns share their
+    prefixes.  Built once per degree.
+    """
+    columns: dict[tuple[int, ...], dict[int, int]] = {(): {(1 << k) - 1: 1}}
+
+    def column(mu: tuple[int, ...]) -> dict[int, int]:
+        if mu not in columns:
+            strip = mu[-1]
+            out: dict[int, int] = {}
+            for beads, value in column(mu[:-1]).items():
+                movable = beads & ~(beads >> strip)  # a bead with a gap r places up
+                while movable:
+                    bead = movable & -movable
+                    movable ^= bead
+                    moved = beads ^ bead ^ (bead << strip)
+                    jumps = (beads & (bead << strip) - (bead << 1)).bit_count()
+                    out[moved] = out.get(moved, 0) + (-value if jumps & 1 else value)
+            columns[mu] = out
+        return columns[mu]
+
+    shapes = integer_partitions(k)
+    beads = [
+        sum(1 << (part + k - i) for i, part in enumerate(lam + (0,) * (k - len(lam)), 1))
+        for lam in shapes
+    ]
+    return {mu: tuple(map(column(mu).get, beads, [0] * len(beads))) for mu in shapes}
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,9 @@ def wg_character_table(k: int) -> tuple[Irrep, ...]:
     """
     if k < 1:
         raise ValueError("degree must be at least 1")
-    classes = integer_partitions(k)
+    columns = _character_columns(k)
     irreps = []
-    for lam in classes:
+    for index, lam in enumerate(integer_partitions(k)):
         hook = 1
         contents = []
         for i, row in enumerate(lam):
@@ -138,7 +146,7 @@ def wg_character_table(k: int) -> tuple[Irrep, ...]:
                 leg = sum(1 for below in lam[i + 1 :] if below > j)
                 hook *= row - j + leg
                 contents.append(j - i)
-        characters = {mu: _irreducible_character(lam, mu) for mu in classes}
+        characters = {mu: column[index] for mu, column in columns.items()}
         irreps.append(Irrep(lam, hook, tuple(contents), characters))
     return tuple(irreps)
 
@@ -179,13 +187,14 @@ def wg_class_table(k: int, n: int) -> ClassTable:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    irreps = [irrep for irrep in wg_character_table(k) if len(irrep.shape) <= n]
-    denominators = [irrep.hook * math.prod(n + c for c in irrep.contents) for irrep in irreps]
-    common = math.lcm(*denominators)
-    numerators = {
-        mu: sum(irrep.characters[mu] * (common // d) for irrep, d in zip(irreps, denominators))
-        for mu in integer_partitions(k)
-    }
+    # the shapes with more than n rows get no denominator and weight 0
+    denominators = [
+        irrep.hook * math.prod(map(n.__add__, irrep.contents)) if len(irrep.shape) <= n else 0
+        for irrep in wg_character_table(k)
+    ]
+    common = math.lcm(*filter(None, denominators))
+    scales = [common // d if d else 0 for d in denominators]
+    numerators = {mu: sum(map(mul, column, scales)) for mu, column in _character_columns(k).items()}
     return ClassTable(numerators, common)
 
 

@@ -10,6 +10,7 @@ counting chain's closed forms against sums over every index tuple, and the
 counting lemma against the word-by-word count.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -262,19 +263,29 @@ class TestRouteCensuses:
             assert sorted(
                 young_subgroup_images(exact_moments._young_labels(statistic, pattern))
             ) == stab
-            least = exact_moments._least_rearrangement(statistic, pattern)
+            # route A counts a renaming of the pattern, equal where it is
+            # equal, or for uu of the reversed pattern
+            word, plain = exact_moments._route_a_word(statistic, pattern)
+            assert plain == side(word)
+            forms = (pattern, pattern[::-1]) if statistic == "uu" else (pattern,)
+            assert any(
+                exact_moments._index_pattern(word, k) == exact_moments._index_pattern(form, k)
+                for form in forms
+            ), (statistic, pattern)
+            least = exact_moments._least_rearrangement(statistic, word)
             words = exact_moments._rearrangements(statistic, least)
             assert len(words) == len(universe) // len(stab), (statistic, pattern)
             rearrangements = {
-                w for w in itertools.permutations(pattern)
-                if statistic == "sq" or (w[0], w[-1]) == (pattern[0], pattern[-1])
+                w for w in itertools.permutations(word)
+                if statistic == "sq" or (w[0], w[-1]) == (word[0], word[-1])
             }
-            assert words == rearrangements, (statistic, pattern)
+            assert len(words) == len(rearrangements), (statistic, pattern)
+            assert set(words) == rearrangements, (statistic, pattern)
             tally = Counter(map(side, rearrangements))
             assert dict(exact_moments._rearranged_sides(statistic, least)) == tally
             lookups.clear()
             exact_moments._route_a_census(statistic, pattern)
-            assert sorted(lookups) == sorted((side(pattern), conj) for conj in tally)
+            assert sorted(lookups) == sorted((side(word), conj) for conj in tally)
 
     @pytest.mark.parametrize(
         "statistic,k",
@@ -367,13 +378,45 @@ class TestRouteCensuses:
         # gamma * beta, so the uu endpoint check must fire
         k = 4
         forward = tuple(range(2, k + 1)) + (1,)
-        exact_moments._folded_census.cache_clear()
+        memos = (exact_moments._folded_census, exact_moments._dressed_census)
+        for memo in memos:
+            memo.cache_clear()
         monkeypatch.setattr(exact_moments, "_cycle_conjugates", lambda statistic, k: ((forward, 1),))
         try:
             with pytest.raises(CrossCheckError, match=r"endpoint.*\(1, 2, 1, 2\)"):
                 exact_moments._route_b_census("uu", (1, 2, 1, 2))
         finally:
-            exact_moments._folded_census.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
+
+    def test_certification_tabulates_no_group_above_degree_five(self, monkeypatch):
+        # the words of the census orders have length at most 5, and route
+        # B's uu 6 folded censuses drop the fixed point k, so a cold
+        # certification of uu 6 and sq 5 tabulates the cycle types of no S_6
+        from ringmoments import haar_moments, permutations, weingarten
+
+        def clear():
+            for module in (permutations, weingarten, haar_moments, exact_moments):
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+
+        built = []
+        real = permutations._cycle_type_table.__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def recorded(k):
+            built.append(k)
+            return real(k)
+
+        clear()
+        monkeypatch.setattr(permutations, "_cycle_type_table", recorded)
+        try:
+            exact_moments._certify("uu", 6, 6)
+            exact_moments._certify("sq", 5, 6)
+        finally:
+            clear()
+        assert 5 in built and max(built) <= 5, built
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):

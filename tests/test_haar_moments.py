@@ -22,6 +22,7 @@ from ringmoments.haar_moments import (
     word_census,
 )
 from ringmoments.montecarlo import mc_entry_moment
+from ringmoments.permutations import MEMO_DEGREE
 from ringmoments.weingarten import wg_class_table
 from weingarten_oracles import pairwise_entry_census
 
@@ -230,6 +231,23 @@ def cold_memo():
     clear()
     yield
     clear()
+
+
+class TestLongWords:
+    """Words longer than ``MEMO_DEGREE``: their Young subgroups and product
+    sets are built afresh, and each product's cycles are walked instead of
+    read off a table."""
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_match_the_pairwise_census(self, k, cold_memo):
+        assert k > MEMO_DEGREE
+        rng = random.Random(20261030 + k)
+        for _ in range(12):
+            n = rng.randint(3, 4)
+            spec = random_word(rng, k, n, balanced=True)
+            expect = pairwise_entry_census(spec)
+            assert census_of(spec) == expect, spec
+            assert entry_moment(spec) == wg_class_table(k, n).weigh(expect.items()), spec
 
 
 class TestShapeMemo:

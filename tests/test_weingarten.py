@@ -145,6 +145,13 @@ class TestCharacterTable:
         for n in range(k, k + 6):
             assert wg_class_table(k, n) == census_class_table(k, n), (k, n)
 
+    def test_degree_eight_tables_of_the_benchmark(self):
+        # the degree-8 tables the exact benchmark reads, n = 8..16, against
+        # the S_8 census and Gaussian solve of the class system; below, degree
+        # 8 is checked only through character orthogonality and class sums
+        for n in range(8, 17):
+            assert wg_class_table(8, n) == census_class_table(8, n), n
+
     def test_defined_below_the_degree(self):
         # at n = 1 < k = 2 the class system is singular; only the one-row
         # shape (2) survives, with weight 1 / (hook 2 * content 1 * 2), and
