@@ -84,7 +84,8 @@ Evaluation is in integers.  The profile stores its entries as integer
 numerators over one common denominator, so the x_i are the squared
 numerators over D, the squared denominator, with no conversion.  e_j and
 h_j of the squared numerators come from O(n k) integer running sums over
-the variables, one ``itertools.accumulate`` per order, and the Schur
+the variables, one ``itertools.accumulate`` per order below the top one
+(the first shared by e and h, the top ones summed), and the Schur
 polynomials from the Pieri recursion.  The coefficients are integer
 numerators over one denominator, memoised once per (statistic, k, n)
 together with their certificate (``_certify``, below), and a single
@@ -759,19 +760,30 @@ def _scaled_symmetric_sums(
 
     so each column is ``accumulate`` over the products with the previous
     one, O(n (e_max + h_max)) integer steps in all with the loop over the
-    variables in C; e_j(x) = E_j[n] / D^j and h_j(x) = H_j[n] / D^j.
+    variables in C; e_j(x) = E_j[n] / D^j and h_j(x) = H_j[n] / D^j.  Each
+    column is built once and only as far as something reads it: the first,
+    E_1[m] = H_1[m] = X_1 + ... + X_m, is shared by both sides (an order of
+    1 alone needs only its sum), and the top order of each side is read
+    only at m = n, so it is summed, E_j[n] = sum_m X_m E_{j-1}[m-1] and
+    H_j[n] = sum_m X_m H_{j-1}[m], and never listed.
     """
     xs = [p * p for p in profile.numerators]
-    e, h = [1], [1]
-    column = [1] * (len(xs) + 1)  # E_0[m], m = 0..n
-    for _ in range(e_max):
-        # E_j[0] = 0, and map pairs X_m with E_{j-1}[m-1] and stops at X_n
-        column = list(accumulate(map(mul, xs, column), initial=0))
-        e.append(column[-1])
-    column = [1] * len(xs)  # H_0[m], m = 1..n
-    for _ in range(h_max):
+    first = list(accumulate(xs)) if e_max > 1 or h_max > 1 else [sum(xs)]
+    e = [1, first[-1]] if e_max else [1]
+    if e_max > 1:
+        # E_1[m], m = 0..n: map pairs X_m with E_{j-1}[m-1] and stops at X_n
+        column = [0, *first]
+        for _ in range(e_max - 2):
+            column = list(accumulate(map(mul, xs, column), initial=0))
+            e.append(column[-1])
+        e.append(sum(map(mul, xs, column)))
+    h = [1, first[-1]] if h_max else [1]
+    column = first  # H_1[m], m = 1..n
+    for _ in range(h_max - 2):
         column = list(accumulate(map(mul, xs, column)))
         h.append(column[-1])
+    if h_max > 1:
+        h.append(sum(map(mul, xs, column)))
     return e, h, profile.denominator**2
 
 

@@ -891,7 +891,11 @@ class TestHookSumKernel:
         for n in (1, 1, 2, 3, 4, 5, 6):
             values = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
             x = [v * v for v in values]
-            for e_max, h_max in ((0, 0), (n - 1, 0), (n, 3), (n + 2, n + 3), (2, 6)):
+            # the edge pairs pin the shared first column and the summed top orders
+            for e_max, h_max in (
+                (0, 0), (n - 1, 0), (n, 3), (n + 2, n + 3), (2, 6),
+                (0, 1), (1, 0), (1, 1), (0, n + 2), (n + 2, 0),
+            ):
                 e, h, scale = exact_moments._scaled_symmetric_sums(
                     SingularProfile.from_values(values), e_max, h_max
                 )
@@ -935,6 +939,22 @@ class TestHookSumKernel:
         profile = seeded_profile(rng, 64)
         assert trace_moment_uu(40, profile) == row_jacobi_trudi_moment("uu", 40, profile)
         assert trace_moment_sq(40, profile) == row_jacobi_trudi_moment("sq", 40, profile)
+
+    def test_paper_regime_is_bit_equal_to_the_row_recursion(self):
+        # k = round(n^(1/6)) on the CLI's uniform:1/2:4:10000 grid
+        profile = SingularProfile.uniform_grid(Fraction(1, 2), 4, 10000)
+        k = round(profile.n ** (1 / 6))
+        assert k == 5
+        assert trace_moment_uu(k, profile) == row_jacobi_trudi_moment("uu", k, profile)
+        assert trace_moment_sq(k, profile) == row_jacobi_trudi_moment("sq", k, profile)
+        e, h, scale = row_symmetric_sums(profile, k, k)
+        m2 = profile.M**2
+        l2 = sum(
+            m2 ** (k - p) * math.comb(k - 1, p - 1) * math.factorial(k) * Fraction(e[p], scale**p)
+            for p in range(1, k + 1)
+        )
+        links = composition_census(k, profile).links
+        assert links[1:3] == (Fraction(math.factorial(k) * h[k], scale**k), l2)
 
     def test_benchmark_references(self):
         refs = json.loads(REFERENCES.read_text())
